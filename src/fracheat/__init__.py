@@ -10,6 +10,7 @@ from .grid import GridFunction, Mesh, restrict
 from .kernel import (
     KernelWeights,
     OracleConvergenceError,
+    SymmetricKernel,
     apply_operator,
     consistency_error,
     continuous_op_oracle,

@@ -10,9 +10,14 @@ The implicit stage of both marching schemes solves
 
     c u + A u - f(u) = rhs
 
-by Newton's method with a matrix-free conjugate-gradient inner solve;
-the operator A is applied through its Toeplitz kernel (FFT), so a step
-costs O(N log N) per CG iteration.
+by Newton's method with a matrix-free conjugate-gradient inner solve.
+The operator A is applied through its Toeplitz kernel: one forward and
+one inverse FFT against the kernel's cached spectrum, so a step costs
+O(N log N) per CG iteration.  Each step returns its final product A u,
+which the next step reuses for its initial residual (the CG start in a
+linear problem, the first Newton residual in a semilinear one).  The CG
+loop mirrors scipy's operation for operation, so these savings change
+no output bit.
 """
 
 from __future__ import annotations
@@ -22,10 +27,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .grid import GridFunction, Mesh
-from .kernel import KernelWeights, kernel_weights, toeplitz_matvec
+from .kernel import kernel_weights, toeplitz_matvec
 from . import semigroup as sg
 
 __all__ = [
@@ -156,6 +160,13 @@ class Trajectory:
                 buf.close()
 
 
+def _l1_history(b, diffs, n):
+    """History sum of the L1 scheme at step n: weight b_{n-j} on the
+    increment u^j - u^{j-1} (row j-1 of diffs), j = 1..n-1, summed in
+    order of increasing j."""
+    return b[n - 1:0:-1] @ diffs[: n - 1]
+
+
 def caputo_l1_weights(alpha, n_steps, dt):
     """L1 discretization weights b_k = ((k+1)^{1-a} - k^{1-a}) dt^{-a} / Gamma(2-a).
 
@@ -169,68 +180,125 @@ def caputo_l1_weights(alpha, n_steps, dt):
     return b * dt ** (-alpha) / math.gamma(2.0 - alpha)
 
 
-def _implicit_stage(kernel, shift, rhs, nonlin, x0, cfg):
-    """Solve shift*u + A u - f(u) = rhs; returns (u, newton_iters, cg_iters, residual).
+def _cg(apply, b, x0, jx0, rtol, t):
+    """Conjugate gradients for apply(x) = b from x0, to |r| < rtol |b|.
+
+    Mirrors scipy.sparse.linalg.cg (scipy 1.17, no preconditioner)
+    operation for operation, so the iterates are bitwise scipy's.  jx0 is
+    apply(x0) when the caller already has it, else None.  Returns
+    (x, products): products counts the operator applications, the initial
+    residual's included whether it was computed or reused.  Raises
+    RuntimeError, naming the step to time t, on a direction of
+    non-positive curvature (the operator is not positive definite) and
+    after 10 n iterations without convergence.
+    """
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b.copy(), 0
+    atol = rtol * bnrm2
+    x = x0.copy()
+    products = 0
+    if x.any():
+        r = b - (apply(x) if jx0 is None else jx0)
+        products = 1
+    else:
+        r = b.copy()
+    maxiter = 10 * len(b)
+    p = rho_prev = None
+    for it in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, products
+        rho = np.dot(r, r)
+        if it > 0:
+            p *= rho / rho_prev
+            p += r
+        else:
+            p = r.copy()
+        q = apply(p)
+        products += 1
+        curvature = np.dot(p, q)
+        if not curvature > 0.0:
+            raise RuntimeError(
+                f"step to t={t:.10g}: CG met p'Jp = {curvature:.3e} <= 0, so the "
+                "Jacobian shift + A - diag f'(u) is not positive definite"
+            )
+        a = rho / curvature
+        x += a * p
+        r -= a * q
+        rho_prev = rho
+    raise RuntimeError(f"step to t={t:.10g}: CG did not converge in {maxiter} iterations")
+
+
+def _implicit_stage(kernel, shift, rhs, nonlin, x0, ax0, cfg, t):
+    """Solve shift*u + A u - f(u) = rhs for the step to time t.
+
+    x0 is the initial guess and ax0 its product A x0, or None when the
+    caller does not have it.  Returns (u, newton_iters, cg_iters,
+    residual, A u): the final product feeds the residual and then the
+    next step, whose guess is this step's u.
 
     The Jacobian shift + A - diag(f'(u)) stays symmetric positive
     definite for dissipative nonlinearities (f' <= 0), so CG applies.
     """
     n = len(rhs)
-    cg_total = 0
 
-    def solve_linear(diag, b, x0):
-        nonlocal cg_total
-        count = [0]
-
-        def mv(v):
-            count[0] += 1
-            return shift * v + toeplitz_matvec(kernel, v) + diag * v
-
-        op = LinearOperator((n, n), matvec=mv, dtype=float)
-        x, info = cg(op, b, x0=x0, rtol=cfg.linear_solver_tol, atol=0.0, maxiter=10 * n)
-        if info != 0:
-            raise RuntimeError(f"CG did not converge (info={info})")
-        cg_total += count[0]
-        return x
+    def jacobian(diag):
+        return lambda v: shift * v + toeplitz_matvec(kernel, v) + diag * v
 
     if nonlin is None:
-        u = solve_linear(np.zeros(n), rhs, x0)
-        res = shift * u + toeplitz_matvec(kernel, u) - rhs
-        return u, 0, cg_total, float(np.max(np.abs(res)))
+        # adding the zero diagonal can flip the sign of a zero entry, so it
+        # stays to keep every output bit of the original operator
+        diag = np.zeros(n)
+        jx0 = None if ax0 is None else shift * x0 + ax0 + diag * x0
+        u, cg_total = _cg(jacobian(diag), rhs, x0, jx0, cfg.linear_solver_tol, t)
+        au = toeplitz_matvec(kernel, u)
+        res = shift * u + au - rhs
+        return u, 0, cg_total, float(np.max(np.abs(res))), au
 
-    def residual(v):
-        return shift * v + toeplitz_matvec(kernel, v) - nonlin.f(v) - rhs
+    def residual(v, av):
+        return shift * v + av - nonlin.f(v) - rhs
 
+    cg_total = 0
     u = x0.copy()
-    g = residual(u)
+    au = toeplitz_matvec(kernel, u) if ax0 is None else ax0
+    g = residual(u, au)
     res = float(np.max(np.abs(g)))
     tol = cfg.newton_tol * max(1.0, float(np.max(np.abs(rhs))))
     for it in range(1, cfg.newton_max_iter + 1):
         if res <= tol:
-            return u, it - 1, cg_total, res
-        delta = solve_linear(-nonlin.df(u), -g, np.zeros(n))
-        step = 1.0
+            return u, it - 1, cg_total, res, au
+        delta, ci = _cg(jacobian(-nonlin.df(u)), -g, np.zeros(n), None,
+                        cfg.linear_solver_tol, t)
+        cg_total += ci
+        damping = 1.0
         # damped update: halve the step while the residual fails to drop
         while True:
-            u_try = u + step * delta
-            g_try = residual(u_try)
+            u_try = u + damping * delta
+            au_try = toeplitz_matvec(kernel, u_try)
+            g_try = residual(u_try, au_try)
             res_try = float(np.max(np.abs(g_try)))
-            if res_try < res or step < 1.0 / 64.0:
+            if res_try < res or damping < 1.0 / 64.0:
                 break
-            step *= 0.5
-        u, g, res = u_try, g_try, res_try
+            damping *= 0.5
+        u, au, g, res = u_try, au_try, g_try, res_try
     if res <= tol:
-        return u, cfg.newton_max_iter, cg_total, res
+        return u, cfg.newton_max_iter, cg_total, res, au
     raise RuntimeError(
-        f"Newton did not converge in {cfg.newton_max_iter} iterations (residual {res:.3e})"
+        f"step to t={t:.10g}: Newton did not converge in {cfg.newton_max_iter} "
+        f"iterations (residual {res:.3e})"
     )
 
 
-def step_backward_euler(problem, cfg, kernel, u_prev, t_next):
-    """One backward Euler step: (I + dt A) u = u_prev + dt (F(t_next) + f(u))."""
+def step_backward_euler(problem, cfg, kernel, u_prev, t_next, au_prev=None):
+    """One backward Euler step: (I + dt A) u = u_prev + dt (F(t_next) + f(u)).
+
+    au_prev is A u_prev if known.  Returns (u, newton_iters, cg_iters,
+    residual, A u).
+    """
     dt = cfg.dt
     rhs = u_prev / dt + problem.forcing_values(t_next)
-    return _implicit_stage(kernel, 1.0 / dt, rhs, problem.nonlinearity, u_prev, cfg)
+    return _implicit_stage(kernel, 1.0 / dt, rhs, problem.nonlinearity, u_prev, au_prev,
+                           cfg, t_next)
 
 
 def _operator_kernel(problem):
@@ -264,6 +332,7 @@ def solve(problem, cfg, exact=None, window=None):
 
     traj = Trajectory(mesh=mesh, dt=cfg.dt)
     u = problem.u0.values.copy()
+    au = None  # A u, carried from each step's residual into the next step
     sup_err = 0.0 if exact is not None else None
     if exact is not None:
         sup_err = float(np.max(np.abs(u[sel] - exact(0.0, x_win))))
@@ -277,13 +346,11 @@ def solve(problem, cfg, exact=None, window=None):
     for n in range(1, n_steps + 1):
         t = n * cfg.dt
         if cfg.stepper == "backward_euler":
-            u_new, ni, ci, res = step_backward_euler(problem, cfg, kernel, u, t)
+            u_new, ni, ci, res, au = step_backward_euler(problem, cfg, kernel, u, t, au)
         else:
-            # history sum: weight b_{n-j} on u^j - u^{j-1}, j = 1..n-1
-            hist = b[n - 1:0:-1] @ diffs[: n - 1]
-            rhs = b[0] * u - hist + problem.forcing_values(t)
-            u_new, ni, ci, res = _implicit_stage(
-                kernel, b[0], rhs, problem.nonlinearity, u, cfg
+            rhs = b[0] * u - _l1_history(b, diffs, n) + problem.forcing_values(t)
+            u_new, ni, ci, res, au = _implicit_stage(
+                kernel, b[0], rhs, problem.nonlinearity, u, au, cfg, t
             )
             diffs[n - 1] = u_new - u
         traj.log.append(f"{n},{t:.10g},{ni},{ci},{res:.3e}")
@@ -340,25 +407,11 @@ def _mild_state(problem, t):
             for xr, wr in zip(x_ref, w_ref):
                 v = lo + half * (xr + 1.0)
                 q = v ** (1.0 / alpha)
-                kq = sg.SemigroupKernel(
-                    s=s,
-                    h=mesh.h,
-                    t=q,
-                    w=_tau_weighted_kernel_at(s, mesh.h, alpha, v, mesh.n_points),
-                )
+                # kernel of integral tau Phi_alpha(tau) exp(-tau v A) dtau
+                kq = sg.subordinated_kernel(s, mesh.h, alpha, q, mesh.n_points,
+                                            weighted_by_tau=True)
                 acc += half * wr * toeplitz_matvec(kq, problem.forcing_values(t - q))
     return acc
-
-
-def _tau_weighted_kernel_at(s, h, alpha, v, half_width):
-    """Kernel of integral tau Phi_alpha(tau) exp(-tau v A) dtau (no prefactor).
-
-    Delegates to the subordinated-kernel builder with t chosen so that
-    t^alpha = v (one FFT over the summed spectral integrand).
-    """
-    return sg.subordinated_kernel(
-        s, h, alpha, v ** (1.0 / alpha), half_width, weighted_by_tau=True
-    ).w
 
 
 def evaluate_mild(problem, t):
@@ -408,16 +461,14 @@ def solve_scalar_l1(alpha, lam, t_final, dt, u0=1.0):
     if abs(n_steps * dt - t_final) > 1e-9 * t_final:
         raise ValueError("t_final must be an integer number of steps")
     b = caputo_l1_weights(alpha, n_steps, dt)
-    ys = [float(u0)]
-    diffs = []
+    ys = np.empty(n_steps + 1)
+    ys[0] = float(u0)
+    diffs = np.empty(n_steps)
     for n in range(1, n_steps + 1):
-        hist = 0.0
-        for j, d in enumerate(diffs, start=1):
-            hist += b[n - j] * d
-        y = (b[0] * ys[-1] - hist) / (b[0] + lam)
-        diffs.append(y - ys[-1])
-        ys.append(y)
-    return np.arange(n_steps + 1) * dt, np.array(ys)
+        y = (b[0] * ys[n - 1] - _l1_history(b, diffs, n)) / (b[0] + lam)
+        diffs[n - 1] = y - ys[n - 1]
+        ys[n] = y
+    return np.arange(n_steps + 1) * dt, ys
 
 
 def sup_norm_error(u, exact, t, window=None):

@@ -11,7 +11,8 @@ error can be measured.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
@@ -21,6 +22,7 @@ from scipy.special import gammaln
 from .grid import GridFunction, Mesh
 
 __all__ = [
+    "SymmetricKernel",
     "KernelWeights",
     "OracleConvergenceError",
     "kernel_weights",
@@ -49,27 +51,56 @@ def frac_laplacian_constant(s):
 
 
 @dataclass(frozen=True)
-class KernelWeights:
-    """Convolution weights w[n] of the discrete fractional Laplacian.
+class SymmetricKernel:
+    """Symmetric convolution kernel w[|n|] of a lattice operator.
 
-    w[0] > 0, w[n] < 0 for n >= 1, symmetric in n <-> -n; the row sum
-    over the whole lattice vanishes (the operator annihilates
-    constants) and |w[n]| ~ const / (h^{2s} n^{1+2s}) for large n.
+    w[n] holds the entry at offset n (= entry at -n) for n = 0..half_width;
+    t is the time of a semigroup kernel and None for the fractional
+    Laplacian itself.  The Laplacian's weights have w[0] > 0, w[n] < 0
+    for n >= 1, a vanishing whole-lattice row sum and
+    |w[n]| ~ tail_constant() / (h^{2s} n^{1+2s}); a semigroup kernel is
+    non-negative up to quadrature noise with mass() at most 1.  The
+    weights are made read-only on construction,
+    because toeplitz_matvec caches the spectrum of the embedded kernel
+    per FFT size and an in-place edit would leave that spectrum stale.
     """
 
     s: float
     h: float
-    w: np.ndarray  # w[n] for n = 0..half_width
+    w: np.ndarray
+    t: Optional[float] = None
+    _spectra: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.w.flags.writeable = False
 
     @property
     def half_width(self):
         return len(self.w) - 1
+
+    def mass(self):
+        """Two-sided kernel mass w[0] + 2 sum_{n>=1} w[n]."""
+        return float(self.w[0] + 2.0 * np.sum(self.w[1:]))
 
     def tail_constant(self):
         """Limit of h^{2s} n^{1+2s} |w[n]|: 4^s Gamma(1/2+s) / (sqrt(pi) |Gamma(-s)|)."""
         s = self.s
         # |Gamma(-s)| = Gamma(1 - s) / s
         return 4.0 ** s * math.exp(gammaln(0.5 + s) - gammaln(1.0 - s)) * s / math.sqrt(math.pi)
+
+    def spectrum(self, size):
+        """rfft of the embedded kernel w[N]..w[1], w[0], w[1]..w[N] at FFT
+        length size, computed once per size.  Concurrent callers may both
+        compute a missing entry; they store equal arrays."""
+        spec = self._spectra.get(size)
+        if spec is None:
+            spec = rfft(np.concatenate((self.w[:0:-1], self.w)), size)
+            spec.flags.writeable = False
+            self._spectra[size] = spec
+        return spec
+
+
+KernelWeights = SymmetricKernel
 
 
 def kernel_weights(s, h, half_width):
@@ -103,7 +134,7 @@ def kernel_weights(s, h, half_width):
     steps = np.log(n[:-1] - s) - np.log(n[:-1] + 1.0 + s) if half_width > 1 else np.empty(0)
     log_ratio = seed + np.concatenate(([0.0], np.cumsum(steps)))
     w[1:] = -pref * np.exp(log_ratio) / h2s
-    return KernelWeights(s=float(s), h=float(h), w=w)
+    return SymmetricKernel(s=float(s), h=float(h), w=w)
 
 
 def kernel_weights_direct(s, h, half_width):
@@ -131,7 +162,7 @@ def kernel_weights_direct(s, h, half_width):
     inc = np.log(np.abs(k - 1.0 - s)) - np.log(k + s)
     log_mag = gammaln(2.0 * s + 1.0) - 2.0 * gammaln(1.0 + s) + np.cumsum(inc)
     w[1:] = -np.exp(log_mag) / h2s
-    return KernelWeights(s=float(s), h=float(h), w=w)
+    return SymmetricKernel(s=float(s), h=float(h), w=w)
 
 
 # ---------------------------------------------------------------------------
@@ -142,25 +173,27 @@ def toeplitz_matvec(kernel, values, method="fft"):
     """Convolve a value array with the symmetric kernel w[|n|].
 
     out[j] = sum_m w[|j-m|] values[m], values extended by zero.  The FFT
-    path embeds the band in a circulant; the direct path is the plain
-    O(N^2) sum retained as a cross-check oracle and for small inputs.
+    path embeds the band in a circulant of length
+    next_fast_len(2 half_width + m) and multiplies by the kernel's cached
+    spectrum at that length, so a product costs one forward and one
+    inverse FFT; the result is bitwise that of transforming the kernel
+    on every call.  The direct path is the plain O(N^2) sum retained as a
+    cross-check oracle and for small inputs.
     """
-    w = kernel.w
     m = len(values)
-    if kernel.half_width < m:
+    n_half = kernel.half_width
+    if n_half < m:
         raise ValueError(
-            f"kernel half_width {kernel.half_width} shorter than grid ({m} points); "
+            f"kernel half_width {n_half} shorter than grid ({m} points); "
             "truncation would clip inside the domain"
         )
-    full = np.concatenate((w[:0:-1], w))  # w[N]..w[1], w[0], w[1]..w[N]
-    n_half = kernel.half_width
     if method == "direct":
-        out = np.convolve(values, full, mode="full")[n_half : n_half + m]
-        return out
+        full = np.concatenate((kernel.w[:0:-1], kernel.w))  # w[N]..w[1], w[0], w[1]..w[N]
+        return np.convolve(values, full, mode="full")[n_half : n_half + m]
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
-    size = next_fast_len(len(full) + m - 1)
-    conv = irfft(rfft(values, size) * rfft(full, size), size)
+    size = next_fast_len(2 * n_half + m)
+    conv = irfft(rfft(values, size) * kernel.spectrum(size), size)
     return conv[n_half : n_half + m]
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.fft import rfft
 
 from .grid import GridFunction
-from .kernel import toeplitz_matvec
+from .kernel import SymmetricKernel, toeplitz_matvec
 from .special import SeriesConvergenceError, bessel_i_scaled_row, wright_phi
 
 __all__ = [
@@ -38,26 +38,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SemigroupKernel:
-    """Symmetric non-negative convolution kernel of a lattice semigroup.
-
-    w[n] holds the kernel entry at offset n (= entry at -n); entries are
-    >= 0 up to quadrature noise and sum (two-sided) to at most 1.
-    """
-
-    s: float
-    h: float
-    t: float
-    w: np.ndarray
-
-    @property
-    def half_width(self):
-        return len(self.w) - 1
-
-    def mass(self):
-        """Two-sided kernel mass w[0] + 2 sum_{n>=1} w[n]."""
-        return float(self.w[0] + 2.0 * np.sum(self.w[1:]))
+# every lattice semigroup kernel is a symmetric kernel with its time t set
+SemigroupKernel = SymmetricKernel
 
 
 def frac_semigroup_kernel(s, h, t, half_width, tol=1e-12):
@@ -86,7 +68,7 @@ def _frac_semigroup_kernel(s, h, t, half_width, tol):
     if t == 0.0:
         w = np.zeros(half_width + 1)
         w[0] = 1.0
-        return SemigroupKernel(s=float(s), h=float(h), t=0.0, w=w)
+        return SymmetricKernel(s=float(s), h=float(h), t=0.0, w=w)
 
     # resolution must cover the requested offsets, the width of the
     # spectral peak (~ t_scaled^{-1/(2s)} in theta), and the aliasing of
@@ -117,7 +99,7 @@ def _frac_semigroup_kernel(s, h, t, half_width, tol):
         else:
             w = coeff[: half_width + 1].copy()
         if prev is not None and np.max(np.abs(w - prev)) <= tol:
-            return SemigroupKernel(s=float(s), h=float(h), t=float(t), w=w)
+            return SymmetricKernel(s=float(s), h=float(h), t=float(t), w=w)
         prev = w
         m *= 2
     raise SeriesConvergenceError(
@@ -137,7 +119,7 @@ def heat_semigroup_kernel(h, t, half_width):
     row = bessel_i_scaled_row(need, x)
     keep = np.nonzero(row >= 1e-16)[0]
     width = max(int(half_width), int(keep[-1]) if keep.size else 0)
-    return SemigroupKernel(s=1.0, h=float(h), t=float(t), w=row[: width + 1])
+    return SymmetricKernel(s=1.0, h=float(h), t=float(t), w=row[: width + 1])
 
 
 def heat_semigroup_apply(u, t):
@@ -288,7 +270,7 @@ def _subordinated_kernel(s, h, alpha, t, half_width, weighted_by_tau, tol=1e-10)
         else:
             w = coeff[: half_width + 1].copy()
         if prev is not None and np.max(np.abs(w - prev)) <= tol:
-            return SemigroupKernel(s=float(s), h=float(h), t=float(t), w=w)
+            return SymmetricKernel(s=float(s), h=float(h), t=float(t), w=w)
         prev = w
         m *= 2
     raise SeriesConvergenceError(

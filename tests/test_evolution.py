@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracheat import evolution
 from fracheat.evolution import (
     EvolutionProblem,
     Nonlinearity,
@@ -16,7 +17,7 @@ from fracheat.evolution import (
     sup_norm_error,
 )
 from fracheat.grid import GridFunction, Mesh, restrict
-from fracheat.kernel import apply_operator, kernel_weights
+from fracheat.kernel import apply_operator, kernel_weights, toeplitz_matvec
 from fracheat.special import mittag_leffler
 
 
@@ -130,6 +131,37 @@ class TestBackwardEuler:
         prob = EvolutionProblem(s=0.5, alpha=0.7, mesh=mesh, u0=_gaussian(mesh))
         with pytest.raises(ValueError):
             solve(prob, SchemeConfig(stepper="backward_euler", dt=0.1))
+
+    def test_each_step_reuses_the_previous_product(self, monkeypatch):
+        # the logged CG count includes every step's initial-residual product,
+        # but only the first step computes it: the others reuse the
+        # end-of-step residual product of the step before
+        calls = []
+
+        def counting(kernel, values, method="fft"):
+            calls.append(len(values))
+            return toeplitz_matvec(kernel, values, method=method)
+
+        monkeypatch.setattr(evolution, "toeplitz_matvec", counting)
+        mesh = Mesh(h=0.5, a=-10.0, b=10.0)
+        prob = EvolutionProblem(s=0.6, alpha=1.0, mesh=mesh, u0=_gaussian(mesh),
+                                t_horizon=0.1)
+        traj = solve(prob, SchemeConfig(stepper="backward_euler", dt=0.01))
+        logged = sum(int(line.split(",")[3]) for line in traj.log)
+        assert len(traj.log) == 10
+        assert len(calls) == logged + 1
+
+    def test_indefinite_jacobian_fails_loudly(self):
+        # f(u) = c u with c above shift + lambda_max makes the Jacobian
+        # shift + A - c I negative definite; CG must refuse it
+        s, h, dt = 0.5, 0.5, 0.05
+        mesh = Mesh(h=h, a=-5.0, b=5.0)
+        c = 2.0 * (1.0 / dt + 4.0 ** s / h ** (2.0 * s))
+        nl = Nonlinearity(f=lambda u: c * u, df=lambda u: c * np.ones_like(u))
+        prob = EvolutionProblem(s=s, alpha=1.0, mesh=mesh, u0=_gaussian(mesh),
+                                t_horizon=0.1, nonlinearity=nl)
+        with pytest.raises(RuntimeError, match=r"step to t=0\.05: .*not positive definite"):
+            solve(prob, SchemeConfig(stepper="backward_euler", dt=dt))
 
 
 class TestL1Caputo:

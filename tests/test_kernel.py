@@ -8,7 +8,9 @@ from scipy.linalg import toeplitz
 
 from fracheat.grid import Mesh, restrict
 from fracheat.kernel import (
+    KernelWeights,
     OracleConvergenceError,
+    SymmetricKernel,
     apply_operator,
     consistency_error,
     continuous_op_oracle,
@@ -17,6 +19,7 @@ from fracheat.kernel import (
     kernel_weights_direct,
     toeplitz_matvec,
 )
+from fracheat.semigroup import SemigroupKernel, frac_semigroup_kernel
 
 
 class TestWeights:
@@ -114,6 +117,20 @@ class TestToeplitzApply:
         k = kernel_weights(0.5, 1.0, 4)
         with pytest.raises(ValueError):
             toeplitz_matvec(k, np.zeros(10))
+
+
+class TestSymmetricKernel:
+    def test_one_type_under_every_name(self):
+        assert KernelWeights is SymmetricKernel and SemigroupKernel is SymmetricKernel
+        assert kernel_weights(0.5, 1.0, 4).t is None
+        assert frac_semigroup_kernel(0.5, 1.0, 0.2, 4).t == 0.2
+
+    def test_weights_read_only(self):
+        for k in (kernel_weights(0.5, 1.0, 8), frac_semigroup_kernel(0.5, 1.0, 0.2, 8)):
+            with pytest.raises(ValueError):
+                k.w[1] = 0.0
+            with pytest.raises(ValueError):
+                k.w *= 2.0
 
 
 class TestContinuousOracle:
