@@ -382,34 +382,26 @@ def _mild_state(problem, t):
         return problem.u0.values.copy()
     if alpha == 1.0:
         kern = sg.frac_semigroup_kernel(s, mesh.h, t, mesh.n_points)
-        acc = toeplitz_matvec(kern, problem.u0.values)
-        if problem.forcing is not None:
-            # integral_0^t T(t - tau) F(tau) dtau, composite Gauss in tau
-            x_ref, w_ref = np.polynomial.legendre.leggauss(_MILD_GL_ORDER)
-            for p in range(_MILD_PANELS):
-                lo, hi = t * p / _MILD_PANELS, t * (p + 1) / _MILD_PANELS
-                half = 0.5 * (hi - lo)
-                for xr, wr in zip(x_ref, w_ref):
-                    tau = lo + half * (xr + 1.0)
-                    kq = sg.frac_semigroup_kernel(s, mesh.h, t - tau, mesh.n_points)
-                    acc += half * wr * toeplitz_matvec(kq, problem.forcing_values(tau))
-        return acc
-    kern = sg.subordinated_kernel(s, mesh.h, alpha, t, mesh.n_points)
+    else:
+        kern = sg.subordinated_kernel(s, mesh.h, alpha, t, mesh.n_points)
     acc = toeplitz_matvec(kern, problem.u0.values)
     if problem.forcing is not None:
-        # integral_0^t P(q) F(t - q) dq; the substitution q = v^{1/alpha}
-        # absorbs the q^{alpha-1} endpoint singularity exactly
+        # integral_0^t P(q) F(t - q) dq, composite Gauss in v = q^alpha: the
+        # substitution absorbs the q^{alpha-1} endpoint singularity of P
+        # exactly, and at alpha = 1 it is the identity with P(q) = T(q)
         x_ref, w_ref = np.polynomial.legendre.leggauss(_MILD_GL_ORDER)
         v_max = t ** alpha
         for p in range(_MILD_PANELS):
             lo, hi = v_max * p / _MILD_PANELS, v_max * (p + 1) / _MILD_PANELS
             half = 0.5 * (hi - lo)
             for xr, wr in zip(x_ref, w_ref):
-                v = lo + half * (xr + 1.0)
-                q = v ** (1.0 / alpha)
-                # kernel of integral tau Phi_alpha(tau) exp(-tau v A) dtau
-                kq = sg.subordinated_kernel(s, mesh.h, alpha, q, mesh.n_points,
-                                            weighted_by_tau=True)
+                q = (lo + half * (xr + 1.0)) ** (1.0 / alpha)
+                if alpha == 1.0:
+                    kq = sg.frac_semigroup_kernel(s, mesh.h, q, mesh.n_points)
+                else:
+                    # kernel of integral tau Phi_alpha(tau) exp(-tau q^alpha A) dtau
+                    kq = sg.subordinated_kernel(s, mesh.h, alpha, q, mesh.n_points,
+                                                weighted_by_tau=True)
                 acc += half * wr * toeplitz_matvec(kq, problem.forcing_values(t - q))
     return acc
 

@@ -2,11 +2,20 @@
 solution operators of the time-fractional problem.
 
 The fractional semigroup kernel is computed from the spectral integral
-    L_n(t) = (1/2pi) integral_{-pi}^{pi} exp(-t (4 sin^2(theta/2))^s) e^{-i n theta} dtheta,
-sampled by the trapezoidal rule (spectrally accurate for this smooth
-periodic integrand) with node doubling until entries settle to 1e-12.
-All kernels are non-negative with total mass at most one (sub-Markov),
-so every operator here is a sup-norm contraction.
+    L_n(t) = (1/2pi) integral_{-pi}^{pi} exp(-t lam(theta)) e^{-i n theta} dtheta,
+    lam(theta) = (4 sin^2(theta/2))^s,
+and the subordinated kernels from weighted sums of such integrands over
+the Wright tau-quadrature; one builder serves both, the semigroup being
+its one-node case.  The integrand is periodic but has a |theta|^{2s}
+cusp at theta = 0, so the plain m-node trapezoid rule aliases
+coefficients decaying like n^{-1-2s} and errs by O(m^{-1-2s}).  The
+builder subtracts that cusp in closed form (its coefficients are the
+h = 1 lattice weights of lam), which leaves an aliasing error of
+O(m^{-1-4s}); it picks m from that error model and doubles it until two
+grids agree to the tolerance (1e-12 for the semigroup kernel, 1e-10 for
+the subordinated ones).  All kernels are non-negative with total mass
+at most one (sub-Markov), so every operator here is a sup-norm
+contraction.
 """
 
 from __future__ import annotations
@@ -16,10 +25,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import rfft
+from scipy.fft import dct
+from scipy.special import zeta
 
 from .grid import GridFunction
-from .kernel import SymmetricKernel, toeplitz_matvec
+from .kernel import SymmetricKernel, kernel_weights, toeplitz_matvec
 from .special import SeriesConvergenceError, bessel_i_scaled_row, wright_phi
 
 __all__ = [
@@ -45,9 +55,9 @@ SemigroupKernel = SymmetricKernel
 def frac_semigroup_kernel(s, h, t, half_width, tol=1e-12):
     """Kernel of exp(-t A) for the discrete fractional Laplacian A.
 
-    Entries L_n(t / h^{2s}) for n = 0..half_width, via trapezoidal
-    sampling of the spectral integral with node doubling; raises if the
-    doubling does not settle below tol.  Results are cached: the
+    Entries L_n(t / h^{2s}) for n = 0..half_width, via cusp-corrected
+    trapezoidal sampling of the spectral integral with node doubling;
+    raises if the doubling does not settle below tol.  Results are cached: the
     subordinated operators evaluate this at the same (s, h, t) hundreds
     of times.
     """
@@ -63,53 +73,101 @@ def _frac_semigroup_kernel(s, h, t, half_width, tol):
         raise ValueError(f"h must be positive, got {h}")
     if t < 0.0:
         raise ValueError(f"t must be non-negative, got {t}")
-    half_width = int(half_width)
-    t_scaled = t / h ** (2.0 * s)
     if t == 0.0:
         w = np.zeros(half_width + 1)
         w[0] = 1.0
-        return SymmetricKernel(s=float(s), h=float(h), t=0.0, w=w)
+        return SymmetricKernel(s=s, h=h, t=0.0, w=w)
+    return _spectral_kernel(s, h, t, half_width, np.ones(1),
+                            np.array([t / h ** (2.0 * s)]), tol)
 
+
+_MAX_NODES = 1 << 22   # largest trapezoid grid; half of it is sampled
+_BLOCK = 1 << 17       # exponentials evaluated per block of tau nodes
+
+
+def _alias_nodes(s, factors, rates, tol):
+    """Nodes m that bring the cusp-corrected aliasing error below tol.
+
+    After the |theta|^{2s} term is removed, the coefficient tail of
+    sum_i f_i exp(-r_i lam) is led by the k = 2, 3 terms of the Taylor
+    series in r, sum_i f_i (-r_i)^k lam^k / k!, whose |theta|^{2ks} cusps
+    have coefficients ~ Gamma(2ks+1) |sin(k pi s)| / (pi n^{1+2ks}).
+    Aliased onto offset n << m they sum to
+    2 zeta(1+2ks) Gamma(2ks+1) |sin(k pi s)| / pi * S_k m^{-1-2ks},
+    S_k = sum_i f_i r_i^k / k!; each term is held to tol / 2.
+    """
+    m = 1.0
+    for k in (2, 3):
+        p = 2.0 * k * s
+        strength = float(np.sum(factors * rates ** k)) / math.factorial(k)
+        coeff = (2.0 * zeta(1.0 + p) * math.gamma(1.0 + p)
+                 * abs(math.sin(k * math.pi * s)) / math.pi)
+        m = max(m, (2.0 * strength * coeff / tol) ** (1.0 / (1.0 + p)))
+    return m
+
+
+def _spectral_kernel(s, h, t, half_width, factors, rates, tol):
+    """Fourier coefficients n = 0..half_width of
+    g(theta) = sum_i factors_i exp(-rates_i lam(theta)), lam = (4 sin^2(theta/2))^s,
+    by the cusp-corrected trapezoid rule with node doubling.
+
+    g has a |theta|^{2s} cusp whose coefficients -S lamhat_n,
+    S = sum_i factors_i rates_i, decay only like n^{-1-2s}; lamhat_n are
+    the h = 1 lattice weights (closed-form gamma ratios).  The rule
+    samples g + S lam, whose coefficients decay like n^{-1-4s}, and adds
+    -S lamhat_n back exactly.  Even g needs the nodes on [0, pi] only
+    (a type-1 DCT), and each doubling samples just the new odd nodes:
+    2 pi (2k) / (2m) is bitwise 2 pi k / m.  Raises SeriesConvergenceError
+    unless two successive grids agree to tol.
+    """
     # resolution must cover the requested offsets, the width of the
-    # spectral peak (~ t_scaled^{-1/(2s)} in theta), and the aliasing of
-    # the |theta|^{2s}-cusp coefficient tail |L_n| ~ t_scaled c_s n^{-1-2s}:
-    # the trapezoid error at offset n is ~ 2 t_scaled c_s zeta(1+2s) m^{-1-2s}
-    m = 4 * (half_width + 1)
-    if t_scaled > 1.0:
-        m = max(m, int(8.0 * t_scaled ** (1.0 / (2.0 * s))))
+    # spectral peak (~ rate^{-1/(2s)} in theta) and the aliasing error
+    m = 4.0 * (half_width + 1)
+    r_max = float(np.max(rates))
+    if r_max > 1.0:
+        m = max(m, 8.0 * r_max ** (1.0 / (2.0 * s)))
+    cusp, lam_hat = 0.0, 0.0
     if s < 1.0:
-        c_s = 4.0 ** s * math.gamma(0.5 + s) * s / (math.sqrt(math.pi) * math.gamma(1.0 - s))
-        zeta = 1.0 / (2.0 * s) + 0.6
-        alias_m = (2.0 * t_scaled * c_s * zeta / tol) ** (1.0 / (1.0 + 2.0 * s))
-        if alias_m > 2 ** 26:
-            raise SeriesConvergenceError(
-                f"semigroup kernel needs ~{alias_m:.1e} quadrature nodes for "
-                f"tol={tol} at s={s}, t/h^2s={t_scaled:.3g}; request a looser tol"
-            )
-        m = max(m, int(alias_m))
+        cusp = float(np.sum(factors * rates))
+        lam_hat = kernel_weights(s, 1.0, max(half_width, 1)).w[: half_width + 1]
+        m = max(m, _alias_nodes(s, factors, rates, tol))
+    if 2.0 * m > _MAX_NODES:  # room for one doubling
+        raise SeriesConvergenceError(
+            f"spectral kernel needs ~{m:.1e} quadrature nodes for tol={tol} "
+            f"at s={s}, h={h}, t={t}; request a looser tol"
+        )
     m = 1 << max(8, int(math.ceil(math.log2(m))))
-    prev = None
-    for _ in range(16):
-        theta = 2.0 * math.pi * np.arange(m) / m
-        g = np.exp(-t_scaled * (4.0 * np.sin(theta / 2.0) ** 2) ** s)
-        coeff = rfft(g).real / m
-        if len(coeff) < half_width + 1:
-            w = np.zeros(half_width + 1)
-            w[: len(coeff)] = coeff
-        else:
-            w = coeff[: half_width + 1].copy()
-        if prev is not None and np.max(np.abs(w - prev)) <= tol:
-            return SymmetricKernel(s=float(s), h=float(h), t=float(t), w=w)
+
+    def samples(theta):
+        lam = (4.0 * np.sin(theta / 2.0) ** 2) ** s
+        g = cusp * lam
+        step = max(1, _BLOCK // len(theta))
+        for i in range(0, len(rates), step):
+            g += factors[i:i + step] @ np.exp(-np.outer(rates[i:i + step], lam))
+        return g
+
+    def coefficients(g, m):
+        return dct(g, type=1)[: half_width + 1] / m - cusp * lam_hat
+
+    g = samples(2.0 * math.pi * np.arange(m // 2 + 1) / m)
+    prev = coefficients(g, m)
+    while 2 * m <= _MAX_NODES:
+        finer = np.empty(m + 1)
+        finer[0::2] = g
+        finer[1::2] = samples(2.0 * math.pi * np.arange(1, m, 2) / (2 * m))
+        g, m = finer, 2 * m
+        w = coefficients(g, m)
+        if np.max(np.abs(w - prev)) <= tol:
+            return SymmetricKernel(s=s, h=h, t=t, w=w)
         prev = w
-        m *= 2
     raise SeriesConvergenceError(
-        f"semigroup kernel quadrature did not settle for s={s}, h={h}, t={t}"
+        f"spectral kernel quadrature did not settle for s={s}, h={h}, t={t}"
     )
 
 
 def heat_semigroup_kernel(h, t, half_width):
     """Kernel of the plain lattice heat semigroup exp(t Laplacian):
-    entries e^{-2t/h^2} I_n(2t/h^2) via the scaled Bessel recurrence,
+    entries e^{-2t/h^2} I_n(2t/h^2) from the scaled Bessel functions,
     extended so the dropped tail is below 1e-16.
     """
     if t < 0.0:
@@ -160,11 +218,7 @@ class SubordinationQuadrature:
 
     def integrate(self, g_values):
         """Sum weights * Phi(nodes) * g_values, fixed left-to-right order."""
-        total = 0.0
-        contrib = self.weights * self.phi * g_values
-        for c in contrib:
-            total += c
-        return total
+        return float(np.cumsum(self.weights * self.phi * g_values)[-1])
 
 
 _GL_ORDER = 16
@@ -175,30 +229,24 @@ _PANEL_WIDTH = 0.5
 def subordination_quadrature(alpha, cutoff=1e-14):
     """Build the tau-quadrature for a given time-fractional order.
 
-    The range is truncated where Phi_alpha(tau) (1 + tau) drops below
-    `cutoff` (the density decays super-exponentially), then covered by
-    fixed-width Gauss-Legendre panels.
+    The range is truncated where the closed-form decay
+    exp(-(1-alpha) (alpha^alpha tau)^{1/(1-alpha)}) of Phi_alpha, times
+    (1 + tau), drops below `cutoff`, and is covered by whole fixed-width
+    Gauss-Legendre panels.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    # (1-a) (a^a tau)^{1/(1-a)} = ln(1/cutoff) + ln(1 + tau), by fixed point
     tau_max = 1.0
-    while wright_phi(alpha, tau_max) * (1.0 + tau_max) >= cutoff:
-        tau_max += 0.5
-        if tau_max > 150.0:
-            raise SeriesConvergenceError("subordination range did not truncate")
+    for _ in range(8):
+        decay = -math.log(cutoff) + math.log1p(tau_max)
+        tau_max = (decay / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
+    n_panels = max(2, math.ceil(tau_max / _PANEL_WIDTH))
     x_ref, w_ref = np.polynomial.legendre.leggauss(_GL_ORDER)
-    n_panels = int(math.ceil(tau_max / _PANEL_WIDTH))
-    nodes = []
-    weights = []
-    for p in range(n_panels):
-        lo = p * _PANEL_WIDTH
-        hi = min((p + 1) * _PANEL_WIDTH, tau_max)
-        half = 0.5 * (hi - lo)
-        nodes.extend(lo + half * (x_ref + 1.0))
-        weights.extend(half * w_ref)
-    nodes = np.array(nodes)
-    weights = np.array(weights)
+    half = 0.5 * _PANEL_WIDTH
+    nodes = (_PANEL_WIDTH * np.arange(n_panels)[:, None] + half * (x_ref + 1.0)).ravel()
+    weights = np.tile(half * w_ref, n_panels)
     phi = np.array([wright_phi(alpha, x) for x in nodes])
     quadr = SubordinationQuadrature(alpha=alpha, nodes=nodes, weights=weights, phi=phi)
     m0 = quadr.integrate(np.ones_like(nodes))
@@ -225,58 +273,16 @@ def subordinated_kernel(s, h, alpha, t, half_width, weighted_by_tau=False):
 
 @lru_cache(maxsize=256)
 def _subordinated_kernel(s, h, alpha, t, half_width, weighted_by_tau, tol=1e-10):
-    # tol 1e-10 (vs 1e-12 for the plain semigroup kernel): the cusp of the
-    # spectral integrand forces m ~ tol^{-1/(1+2s)} samples, and the
-    # subordinated operators back identities checked at the 1e-6..1e-8
-    # level while their contraction bounds have O(1) slack
+    # tol 1e-10 (vs 1e-12 for the plain semigroup kernel): the subordinated
+    # operators back identities checked at the 1e-6..1e-8 level while
+    # their contraction bounds have O(1) slack.  All tau nodes share the
+    # theta grid, so the whole tau integral is one spectral integrand.
     quadr = subordination_quadrature(alpha)
-    t_alpha = t ** alpha
     factors = quadr.weights * quadr.phi
     if weighted_by_tau:
         factors = factors * quadr.nodes
-    rates = quadr.nodes * t_alpha / h ** (2.0 * s)  # per-node t_scaled
-
-    # all tau nodes share the theta grid, so the whole integral needs a
-    # single FFT per resolution: sum the spectral integrands first.  The
-    # effective cusp strength governing coefficient aliasing is
-    # sum_i factor_i * t_scaled_i.
-    m = 4 * (half_width + 1)
-    r_max = float(np.max(rates))
-    if r_max > 1.0:
-        m = max(m, int(8.0 * r_max ** (1.0 / (2.0 * s))))
-    if s < 1.0:
-        strength = float(np.sum(factors * rates))
-        c_s = 4.0 ** s * math.gamma(0.5 + s) * s / (math.sqrt(math.pi) * math.gamma(1.0 - s))
-        zeta = 1.0 / (2.0 * s) + 0.6
-        alias_m = (4.0 * max(strength, tol) * c_s * zeta / tol) ** (1.0 / (1.0 + 2.0 * s))
-        if alias_m > 2 ** 26:
-            raise SeriesConvergenceError(
-                f"subordinated kernel needs ~{alias_m:.1e} quadrature nodes "
-                f"at s={s}, alpha={alpha}, t={t}"
-            )
-        m = max(m, int(alias_m))
-    m = 1 << max(8, int(math.ceil(math.log2(m))))
-    prev = None
-    for _ in range(16):
-        theta = 2.0 * math.pi * np.arange(m) / m
-        lam = (4.0 * np.sin(theta / 2.0) ** 2) ** s
-        g = np.zeros(m)
-        for fac, rate in zip(factors, rates):
-            g += fac * np.exp(-rate * lam)
-        coeff = rfft(g).real / m
-        if len(coeff) < half_width + 1:
-            w = np.zeros(half_width + 1)
-            w[: len(coeff)] = coeff
-        else:
-            w = coeff[: half_width + 1].copy()
-        if prev is not None and np.max(np.abs(w - prev)) <= tol:
-            return SymmetricKernel(s=float(s), h=float(h), t=float(t), w=w)
-        prev = w
-        m *= 2
-    raise SeriesConvergenceError(
-        f"subordinated kernel quadrature did not settle for s={s}, "
-        f"alpha={alpha}, t={t}"
-    )
+    rates = quadr.nodes * t ** alpha / h ** (2.0 * s)  # per-node t / h^{2s}
+    return _spectral_kernel(s, h, t, half_width, factors, rates, tol)
 
 
 def subordinated_S_apply(u, s, alpha, t):

@@ -1,9 +1,9 @@
 """Special functions used by the fractional-diffusion kernels and solvers.
 
 Provides log-gamma, exponentially scaled modified Bessel functions of
-integer order (all orders at once via backward recurrence), the two
-parameter Mittag-Leffler function for real arguments, and the Wright
-probability density on [0, inf).
+integer order (all orders at once), the two parameter Mittag-Leffler
+function for real arguments, and the Wright probability density on
+[0, inf) in double precision.
 
 All routines are pure functions of their arguments and can be called
 concurrently from any number of threads.
@@ -15,7 +15,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.integrate import quad
+from scipy.special import gammaln, ive
 
 import mpmath
 
@@ -50,18 +51,14 @@ def log_gamma(x):
 # Scaled modified Bessel functions e^{-x} I_n(x)
 # ---------------------------------------------------------------------------
 
-_BESSEL_X_MAX = 5.0e7  # recurrence cost is O(x); refuse absurd arguments
-_RESCALE = 1.0e250
+_BESSEL_X_MAX = 5.0e7  # a row covering the mass needs ~x entries; refuse absurd arguments
 
 
 def bessel_i_scaled_row(n_max, x):
     """Return the array [e^{-x} I_0(x), ..., e^{-x} I_{n_max}(x)].
 
-    Uses Miller's backward recurrence normalized by the generating
-    function identity sum_n I_n(x) = e^x, so every entry lies in [0, 1]
-    and no unscaled Bessel value is ever formed.  The start order is
-    raised until a doubling of the safety offset changes nothing beyond
-    1e-14, which in practice gives close to machine accuracy.
+    Every entry lies in [0, 1] and no unscaled Bessel value is ever
+    formed (scipy.special.ive).
     """
     n_max = int(n_max)
     if n_max < 0:
@@ -70,47 +67,8 @@ def bessel_i_scaled_row(n_max, x):
     if x < 0.0:
         raise ValueError(f"bessel_i_scaled requires x >= 0, got {x}")
     if x > _BESSEL_X_MAX:
-        raise ValueError(f"argument {x} too large for the backward recurrence")
-    if x == 0.0:
-        row = np.zeros(n_max + 1)
-        row[0] = 1.0
-        return row
-
-    base = max(n_max, int(x))
-    offset = 40 + 2 * int(math.sqrt(base + 40.0))
-    prev = None
-    for _ in range(12):
-        row = _miller_row(n_max, x, base + offset)
-        if prev is not None and np.max(np.abs(row - prev)) <= 1e-14:
-            return row
-        prev = row
-        offset *= 2
-    raise SeriesConvergenceError(
-        f"Bessel backward recurrence did not stabilize for x={x}, n_max={n_max}"
-    )
-
-
-def _miller_row(n_max, x, start):
-    out = np.zeros(n_max + 1)
-    p_next = 0.0      # trial value at order k+1
-    p = 1e-280        # trial value at order k
-    high_sum = 0.0    # sum of trial values over orders 1..start
-    two_over_x = 2.0 / x
-    for k in range(start, 0, -1):
-        if k <= n_max:
-            out[k] = p
-        high_sum += p
-        p_prev = p_next + two_over_x * k * p
-        p_next, p = p, p_prev
-        # rescale to dodge overflow; only ratios matter before normalization
-        if p > _RESCALE:
-            p /= _RESCALE
-            p_next /= _RESCALE
-            high_sum /= _RESCALE
-            out /= _RESCALE
-    out[0] = p
-    # generating function: e^{-x}(I_0 + 2 sum_{k>=1} I_k) = 1
-    return out / (p + 2.0 * high_sum)
+        raise ValueError(f"argument {x} too large for a Bessel row")
+    return ive(np.arange(n_max + 1), x)
 
 
 def bessel_i_scaled(n, x):
@@ -219,8 +177,8 @@ def _ml_series_mp(alpha, beta, z):
 # Wright function Phi_alpha(x) on x >= 0
 # ---------------------------------------------------------------------------
 
-_WRIGHT_FLOAT_DPS = 43    # <= 3 digits of cancellation: float series is safe
-_WRIGHT_X_MAX = 200.0
+_WRIGHT_SERIES_DECAY = 1.0   # largest decay exponent E summed by the series
+_WRIGHT_UNDERFLOW = 800.0    # exp(-E) with E beyond this is 0 in doubles
 _WRIGHT_MAX_TERMS = 100_000
 
 
@@ -234,12 +192,18 @@ def wright_phi(alpha, x):
     the time-fractional evolution to the spatial semigroup.  For
     alpha = 1/2 it reduces to exp(-x^2/4)/sqrt(pi).
 
-    The series is summed directly with term-ratio stopping (next terms
-    below 1e-16 of the partial sum); for x > 4 the summation runs in
-    extended precision because the alternating terms grow large before
-    the super-exponentially small value emerges.  Supported range:
-    0 <= x <= 200, which comfortably covers the tau-quadrature
-    (Phi_alpha falls below 1e-14 long before).
+    Phi_alpha decays like exp(-E), E = (1-alpha) (alpha^alpha x)^{1/(1-alpha)},
+    while the largest alternating series term grows like exp(E), so the
+    series loses about 2E/ln(10) digits.  For E <= 1 it is summed in
+    floats with term-ratio stopping (relative error ~1e-15).  Beyond, the
+    positive-integrand Kanter/Zolotarev representation, with X = x^{1/(1-alpha)},
+        Phi_alpha(x) = x^{alpha/(1-alpha)} / (pi (1-alpha))
+                       * integral_0^pi K(phi) exp(-X K(phi)) dphi,
+        K(phi) = (sin(alpha phi) / sin phi)^{1/(1-alpha)} sin((1-alpha) phi) / sin(alpha phi),
+    is integrated by adaptive Gauss-Kronrod with exp(-X K(0)) = exp(-E)
+    factored out, so deep-tail values keep their relative accuracy;
+    SeriesConvergenceError is raised if the error estimate exceeds 1e-11
+    relative.  Values below the double underflow threshold return 0.
     """
     alpha = float(alpha)
     x = float(x)
@@ -247,16 +211,38 @@ def wright_phi(alpha, x):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if x < 0.0:
         raise ValueError(f"wright_phi requires x >= 0, got {x}")
-    if x > _WRIGHT_X_MAX:
-        raise SeriesConvergenceError(f"x={x} beyond the supported series range")
     if x == 0.0:
         return 1.0 / math.gamma(1.0 - alpha)
-    dps, log10_val = _wright_dps(alpha, x)
-    if dps is None:
-        return 0.0  # value below the double-precision underflow threshold
-    if dps <= _WRIGHT_FLOAT_DPS:
+    decay = (1.0 - alpha) * (alpha ** alpha * x) ** (1.0 / (1.0 - alpha))
+    if decay <= _WRIGHT_SERIES_DECAY:
         return _wright_series_float(alpha, x)
-    return _wright_series_mp(alpha, x, dps)
+    if decay > _WRIGHT_UNDERFLOW:
+        return 0.0
+    return _wright_integral(alpha, x, decay)
+
+
+def _wright_integral(alpha, x, decay):
+    q = 1.0 / (1.0 - alpha)
+    big_x = x ** q
+    k0 = decay / big_x  # K(0) = (1-alpha) alpha^{alpha/(1-alpha)}
+    ratio_max = math.exp(700.0 / q)  # beyond it K overflows and the integrand is 0
+
+    def integrand(phi):
+        sa = math.sin(alpha * phi)
+        ratio = sa / math.sin(phi)
+        if ratio > ratio_max:
+            return 0.0
+        k = ratio ** q * math.sin((1.0 - alpha) * phi) / sa
+        e = big_x * (k - k0)
+        return k * math.exp(-e) if e < 745.0 else 0.0
+
+    val, err = quad(integrand, 0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=200)
+    if not (val > 0.0 and err <= 1e-11 * val):
+        raise SeriesConvergenceError(
+            f"Wright integral did not converge for alpha={alpha}, x={x}: "
+            f"{val!r} +- {err!r}"
+        )
+    return math.exp(alpha * q * math.log(x) - decay + math.log(val / (math.pi * (1.0 - alpha))))
 
 
 def _sinpi(y):
@@ -299,60 +285,4 @@ def _wright_series_float(alpha, x):
                 return math.fsum(terms)
         else:
             quiet = 0
-    raise SeriesConvergenceError(f"Wright series did not converge for x={x}")
-
-
-_LN10 = math.log(10.0)
-
-
-def _wright_dps(alpha, x):
-    """Working precision for the extended-precision Wright series.
-
-    The value decays like exp(-B x^{1/(1-alpha)}) with
-    B = (1-alpha) alpha^{alpha/(1-alpha)} while the alternating terms
-    first grow; the precision must cover both the size of the largest
-    term and the smallness of the result.  Returns (dps, log10_value);
-    log10_value below the float underflow threshold means the caller
-    should just return 0.
-    """
-    b = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
-    log10_val = -b * x ** (1.0 / (1.0 - alpha)) / _LN10
-    if log10_val < -320.0:
-        return None, log10_val
-    # scan for the largest term magnitude, bounding |sin(pi y)| by 1
-    max_log10 = 0.0
-    log10_x = math.log10(x)
-    prev = -math.inf
-    for k in range(1, _WRIGHT_MAX_TERMS):
-        cur = (
-            k * log10_x
-            - gammaln(k + 1.0) / _LN10
-            + gammaln(alpha + alpha * k) / _LN10
-            - math.log10(math.pi)
-        )
-        max_log10 = max(max_log10, cur)
-        if cur < prev and cur < max_log10 - 40.0 + log10_val:
-            break
-        prev = cur
-    return 40 + int(max_log10 - log10_val), log10_val
-
-
-def _wright_series_mp(alpha, x, dps):
-    with mpmath.workdps(dps):
-        a = mpmath.mpf(alpha)
-        xx = mpmath.mpf(x)
-        total = mpmath.mpf(0)
-        coeff = mpmath.mpf(1)  # (-x)^k / k!
-        tiny = mpmath.mpf(10) ** (-dps + 5)
-        quiet = 0
-        for k in range(_WRIGHT_MAX_TERMS):
-            term = coeff * mpmath.rgamma(1 - a - a * k)
-            total += term
-            if abs(term) < tiny * max(abs(total), mpmath.mpf(10) ** (-dps)):
-                quiet += 1
-                if quiet >= 4:
-                    return float(total)
-            else:
-                quiet = 0
-            coeff *= -xx / (k + 1)
     raise SeriesConvergenceError(f"Wright series did not converge for x={x}")

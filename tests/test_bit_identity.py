@@ -7,6 +7,8 @@ algorithm out once more (scipy's cg on a LinearOperator, every product
 transforming the kernel afresh, no product reused) and requires equal
 solver logs and bitwise-equal final states, so an optimisation that
 changes bits fails here and not only in the benchmark's CSV check.
+The subordination quadrature's vectorised sum is held to its plain
+left-to-right loop the same way.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.sparse.linalg import LinearOperator, cg
 
 from fracheat import problems
-from fracheat.semigroup import frac_semigroup_kernel
+from fracheat.semigroup import frac_semigroup_kernel, subordination_quadrature
 from fracheat.evolution import (
     SchemeConfig,
     _cg,
@@ -191,3 +193,16 @@ def _scalar_l1_loop(alpha, lam, t_final, dt, u0=1.0):
 def test_scalar_l1_bitwise_equals_loop(alpha):
     _, ys = solve_scalar_l1(alpha, 1.0, 1.0, 2e-3)
     assert np.array_equal(ys, _scalar_l1_loop(alpha, 1.0, 1.0, 2e-3))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_quadrature_sum_bitwise_equals_loop(alpha):
+    # integrate sums weights * phi * g left to right; the plain loop is the reference
+    q = subordination_quadrature(alpha)
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        g = rng.standard_normal(len(q.nodes)) * rng.uniform(0.0, 1e3)
+        total = 0.0
+        for c in q.weights * q.phi * g:
+            total += c
+        assert q.integrate(g) == total

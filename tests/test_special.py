@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ive
 
+from fracheat.semigroup import subordination_quadrature
 from fracheat.special import (
     SeriesConvergenceError,
     bessel_i_scaled,
@@ -130,3 +131,43 @@ class TestWright:
             wright_phi(1.0, 1.0)
         with pytest.raises(ValueError):
             wright_phi(0.5, -0.1)
+
+
+def _wright_series_mp(alpha, x):
+    """Oracle: the Wright series summed in extended precision, as the
+    library did before its double-precision integral.  The largest term
+    is ~e^E and the value ~e^-E, E = (1-alpha) (alpha^alpha x)^{1/(1-alpha)},
+    so the working precision covers 2E/ln(10) digits plus a margin."""
+    decay = (1.0 - alpha) * (alpha ** alpha * x) ** (1.0 / (1.0 - alpha))
+    dps = 30 + int(2.2 * decay / math.log(10.0))
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        xx = mpmath.mpf(x)
+        total = mpmath.mpf(0)
+        coeff = mpmath.mpf(1)  # (-x)^k / k!
+        tiny = mpmath.mpf(10) ** (-dps + 5)
+        quiet = 0
+        for k in range(100_000):
+            term = coeff * mpmath.rgamma(1 - a - a * k)
+            total += term
+            if abs(term) < tiny * max(abs(total), mpmath.mpf(10) ** (-dps)):
+                quiet += 1
+                if quiet >= 4:
+                    return float(total)
+            else:
+                quiet = 0
+            coeff *= -xx / (k + 1)
+    raise AssertionError(f"oracle series did not converge for x={x}")
+
+
+class TestWrightAgainstSeries:
+    @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.5, 0.7, 0.8, 0.9])
+    def test_matches_extended_precision_series(self, alpha):
+        # up to the quadrature cutoff, including both sides of the
+        # series/integral switch at E = 1
+        x_cut = float(subordination_quadrature(alpha).nodes[-1])
+        x_switch = (1.0 / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
+        xs = list(np.linspace(0.0, x_cut, 17)[1:]) + [0.999 * x_switch, 1.001 * x_switch]
+        for x in xs:
+            ref = _wright_series_mp(alpha, float(x))
+            assert wright_phi(alpha, float(x)) == pytest.approx(ref, rel=1e-10, abs=0.0), x
