@@ -8,7 +8,6 @@ harness with manufactured solutions.
 
 from .grid import GridFunction, Mesh, restrict
 from .kernel import (
-    KernelWeights,
     OracleConvergenceError,
     SymmetricKernel,
     apply_operator,
@@ -23,12 +22,10 @@ from .special import (
     SeriesConvergenceError,
     bessel_i_scaled,
     bessel_i_scaled_row,
-    log_gamma,
     mittag_leffler,
     wright_phi,
 )
 from .semigroup import (
-    SemigroupKernel,
     frac_semigroup_apply,
     frac_semigroup_kernel,
     heat_semigroup_apply,

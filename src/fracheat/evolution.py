@@ -50,21 +50,17 @@ __all__ = [
 class Nonlinearity:
     """Pointwise semilinear term f(u) with derivative, e.g. f(u) = -u^3.
 
-    f must vanish at 0 (so zero data gives the zero solution) and
-    lipschitz_bound is a Lipschitz constant of f on |u| <= lipschitz_bound.
+    f must vanish at 0 (so zero data gives the zero solution).
     """
 
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
-    lipschitz_bound: float = 1.0
     label: str = "f"
 
     def __post_init__(self):
         at_zero = np.asarray(self.f(np.zeros(1)), dtype=float)
         if np.max(np.abs(at_zero)) != 0.0:
             raise ValueError("nonlinearity must satisfy f(0) = 0")
-        if not self.lipschitz_bound > 0.0:
-            raise ValueError("lipschitz_bound must be positive")
 
 
 @dataclass(frozen=True)

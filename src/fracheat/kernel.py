@@ -23,7 +23,6 @@ from .grid import GridFunction, Mesh
 
 __all__ = [
     "SymmetricKernel",
-    "KernelWeights",
     "OracleConvergenceError",
     "kernel_weights",
     "kernel_weights_direct",
@@ -98,9 +97,6 @@ class SymmetricKernel:
             spec.flags.writeable = False
             self._spectra[size] = spec
         return spec
-
-
-KernelWeights = SymmetricKernel
 
 
 def kernel_weights(s, h, half_width):

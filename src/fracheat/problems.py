@@ -169,7 +169,7 @@ def semilinear_variant(m, mesh, alpha=1.0, t_horizon=1.0):
         return m.forcing(t, x) + m.exact(t, x) ** 3
 
     base = to_evolution_problem(m, mesh, alpha=alpha, t_horizon=t_horizon)
-    nl = Nonlinearity(f=lambda u: -(u ** 3), df=lambda u: -3.0 * u * u, lipschitz_bound=3.0)
+    nl = Nonlinearity(f=lambda u: -(u ** 3), df=lambda u: -3.0 * u * u)
     return EvolutionProblem(
         s=base.s,
         alpha=base.alpha,

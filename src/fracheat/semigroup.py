@@ -33,7 +33,6 @@ from .kernel import SymmetricKernel, kernel_weights, toeplitz_matvec
 from .special import SeriesConvergenceError, bessel_i_scaled_row, wright_phi
 
 __all__ = [
-    "SemigroupKernel",
     "SubordinationQuadrature",
     "frac_semigroup_kernel",
     "heat_semigroup_kernel",
@@ -46,10 +45,6 @@ __all__ = [
     "subordinate_scalar_S",
     "subordinate_scalar_P",
 ]
-
-
-# every lattice semigroup kernel is a symmetric kernel with its time t set
-SemigroupKernel = SymmetricKernel
 
 
 def frac_semigroup_kernel(s, h, t, half_width, tol=1e-12):

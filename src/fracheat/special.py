@@ -1,9 +1,9 @@
 """Special functions used by the fractional-diffusion kernels and solvers.
 
-Provides log-gamma, exponentially scaled modified Bessel functions of
-integer order (all orders at once), the two parameter Mittag-Leffler
-function for real arguments, and the Wright probability density on
-[0, inf) in double precision.
+Provides exponentially scaled modified Bessel functions of integer
+order (all orders at once), the two parameter Mittag-Leffler function
+for real arguments and 0 < alpha <= 1, and the Wright probability
+density on [0, inf), all in double precision.
 
 All routines are pure functions of their arguments and can be called
 concurrently from any number of threads.
@@ -18,11 +18,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, ive
 
-import mpmath
-
 __all__ = [
     "SeriesConvergenceError",
-    "log_gamma",
     "bessel_i_scaled",
     "bessel_i_scaled_row",
     "mittag_leffler",
@@ -32,19 +29,6 @@ __all__ = [
 
 class SeriesConvergenceError(RuntimeError):
     """A series or recurrence failed to reach the requested tolerance."""
-
-
-def log_gamma(x):
-    """Return ln Gamma(x) for x > 0.
-
-    Relative error is at the 1e-15 level (well inside the 1e-13 budget
-    of the kernel routines built on top of it).  Negative arguments are
-    rejected; the kernel code handles them through explicit reflection.
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return float(gammaln(x))
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +67,7 @@ def bessel_i_scaled(n, x):
 
 _ML_CANCEL_MAX = 3.0      # largest |z|^(1/alpha) the float series tolerates
 _ML_MAX_TERMS = 200_000
+_ML_CHI_MAX = 745.0       # exp(-chi^(1/alpha)) is 0 in doubles beyond chi^(1/alpha) = 745
 
 
 @lru_cache(maxsize=65536)
@@ -91,7 +76,7 @@ def mittag_leffler(alpha, z, beta=1.0):
 
     Parameters
     ----------
-    alpha : float in (0, 2)
+    alpha : float in (0, 1]
     z : float
         Real argument; strongly negative z is the main use (decay
         profiles of fractional relaxation).
@@ -100,24 +85,39 @@ def mittag_leffler(alpha, z, beta=1.0):
 
     Notes
     -----
-    The series of an alternating argument cancels down from a largest
-    term of size ~e^{|z|^{1/alpha}}, so the safe branch depends on that
-    scale rather than on z alone.  While it stays small the power series
-    is summed with compensated (fsum) accumulation; otherwise it is
-    summed in extended precision (mpmath) with the working precision
-    matched to the cancellation; arguments with |z|^{1/alpha} > 2000 are
-    rejected as out of the supported range.
+    At alpha = beta = 1 this is exp(z).  The series of an alternating
+    argument cancels down from a largest term of size ~e^{|z|^{1/alpha}},
+    so the branch depends on that scale rather than on z alone.  For
+    z >= 0 and for |z|^{1/alpha} <= 3 the power series is summed in
+    floats with a compensated (fsum) total.  For z = -x beyond that, with
+    alpha < 1 and beta < 1 + alpha, the positive-integrand representation
+    of Gorenflo, Loutchko and Luchko (FCAA 5, 2002)
+        E_{alpha,beta}(-x) = 1/(alpha pi) integral_0^inf chi^{(1-beta)/alpha}
+            exp(-chi^{1/alpha}) (chi sin pi(1-beta) + x sin pi(1-beta+alpha))
+            / (chi^2 + 2 chi x cos(alpha pi) + x^2) dchi
+    is integrated by adaptive Gauss-Kronrod up to chi = 745^alpha, where
+    the exponential underflows, with a breakpoint at chi = x (the
+    integrand peaks there as alpha approaches 1);
+    SeriesConvergenceError is raised if the error estimate exceeds 1e-11
+    relative.  Other (alpha, beta, z), which neither branch covers, raise
+    ValueError.
     """
     alpha = float(alpha)
     beta = float(beta)
     z = float(z)
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
+    if alpha == 1.0 and beta == 1.0:
+        return math.exp(z)
     if z >= 0.0 or abs(z) ** (1.0 / alpha) <= _ML_CANCEL_MAX:
         return _ml_series_float(alpha, beta, z)
-    return _ml_series_mp(alpha, beta, z)
+    if alpha == 1.0 or beta >= 1.0 + alpha:
+        raise ValueError(
+            f"E_(alpha,beta)(z) is not supported for alpha={alpha}, beta={beta}, z={z}"
+        )
+    return _ml_integral(alpha, beta, -z)
 
 
 def _ml_series_float(alpha, beta, z):
@@ -128,6 +128,7 @@ def _ml_series_float(alpha, beta, z):
     # index after which terms decrease monotonically
     n_peak = (abs(z) ** (1.0 / alpha) - beta) / alpha + 2.0
     terms = []
+    total = 0.0
     prev_mag = math.inf
     n = 0
     while n < _ML_MAX_TERMS:
@@ -137,40 +138,38 @@ def _ml_series_float(alpha, beta, z):
             raise SeriesConvergenceError(
                 f"Mittag-Leffler series overflowed at n={n} for z={z}"
             )
-        terms.append((sgn ** n) * mag)
-        if n > n_peak and mag < prev_mag and mag < 1e-17 * max(abs(math.fsum(terms)), 1e-300):
+        term = (sgn ** n) * mag
+        terms.append(term)
+        total += term
+        if n > n_peak and mag < prev_mag and mag < 1e-17 * max(abs(total), 1e-300):
             return math.fsum(terms)
         prev_mag = mag
         n += 1
     raise SeriesConvergenceError(f"Mittag-Leffler series did not converge for z={z}")
 
 
-def _ml_series_mp(alpha, beta, z):
-    scale = abs(z) ** (1.0 / alpha)
-    if scale > 2000.0:
+def _ml_integral(alpha, beta, x):
+    power = (1.0 - beta) / alpha
+    s1 = _sinpi(1.0 - beta)
+    s2 = x * _sinpi(1.0 - beta + alpha)
+    shift = x * math.cos(alpha * math.pi)
+    gap = x * math.sin(alpha * math.pi)
+
+    def integrand(chi):
+        # chi^2 + 2 chi x cos(alpha pi) + x^2 as a sum of two squares, which
+        # keeps its relative accuracy near alpha = 1 where the terms cancel
+        den = (chi + shift) ** 2 + gap * gap
+        return chi ** power * math.exp(-chi ** (1.0 / alpha)) * (chi * s1 + s2) / den
+
+    chi_max = _ML_CHI_MAX ** alpha
+    points = (x,) if x < chi_max else None
+    val, err = quad(integrand, 0.0, chi_max, points=points, epsabs=0.0, epsrel=1e-13, limit=200)
+    if not err <= 1e-11 * abs(val):
         raise SeriesConvergenceError(
-            f"|z|^(1/alpha) = {scale:.3g} exceeds the supported range"
+            f"Mittag-Leffler integral did not converge for alpha={alpha}, "
+            f"beta={beta}, z={-x}: {val!r} +- {err!r}"
         )
-    dps = 25 + int(0.45 * scale)
-    with mpmath.workdps(dps):
-        a = mpmath.mpf(alpha)
-        b = mpmath.mpf(beta)
-        zz = mpmath.mpf(z)
-        total = mpmath.mpf(0)
-        power = mpmath.mpf(1)
-        n_peak = (abs(z) ** (1.0 / alpha) - beta) / alpha + 2.0
-        prev_mag = mpmath.inf
-        for n in range(_ML_MAX_TERMS):
-            term = power / mpmath.gamma(a * n + b)
-            total += term
-            mag = abs(term)
-            if n > n_peak and mag < prev_mag and mag < mpmath.mpf(10) ** (-dps) * max(
-                abs(total), mpmath.mpf(10) ** (-dps)
-            ):
-                return float(total)
-            prev_mag = mag
-            power *= zz
-    raise SeriesConvergenceError(f"Mittag-Leffler series did not converge for z={z}")
+    return val / (alpha * math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -255,9 +255,8 @@ class TestNonlinearity:
 
     def test_local_lipschitz_spot_check(self):
         rng = np.random.default_rng(2)
-        nl = Nonlinearity(f=lambda u: -u ** 3, df=lambda u: -3.0 * u * u,
-                          lipschitz_bound=3.0)
-        m = nl.lipschitz_bound
+        nl = Nonlinearity(f=lambda u: -u ** 3, df=lambda u: -3.0 * u * u)
+        m = 3.0
         for _ in range(200):
             a, b = rng.uniform(-1.0, 1.0, 2)
             assert abs(nl.f(a) - nl.f(b)) <= m * abs(a - b) + 1e-12

@@ -1,33 +1,24 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ive
+from scipy.special import ive, rgamma
 
 from fracheat.semigroup import subordination_quadrature
 from fracheat.special import (
     SeriesConvergenceError,
     bessel_i_scaled,
     bessel_i_scaled_row,
-    log_gamma,
     mittag_leffler,
     wright_phi,
 )
-
-
-class TestLogGamma:
-    def test_matches_lgamma(self):
-        for x in (0.1, 0.5, 1.0, 2.5, 10.0, 171.0, 500.0):
-            assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-14)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-1.5)
 
 
 class TestBessel:
@@ -91,9 +82,100 @@ class TestMittagLeffler:
         with pytest.raises(ValueError):
             mittag_leffler(2.5, -1.0)
         with pytest.raises(ValueError):
+            mittag_leffler(1.5, -1.0)
+        with pytest.raises(ValueError):
             mittag_leffler(0.5, -1.0, beta=0.0)
+        # beta >= 1 + alpha with a large negative z: neither branch applies
+        with pytest.raises(ValueError):
+            mittag_leffler(0.5, -10.0, beta=2.0)
         with pytest.raises(SeriesConvergenceError):
-            mittag_leffler(0.3, -100.0)
+            mittag_leffler(0.3, 100.0)
+        # the extended-precision range limit |z|^(1/alpha) <= 2000 is gone
+        assert mittag_leffler(0.3, -100.0) == pytest.approx(
+            _ml_asymptotic(0.3, 1.0, 100.0), rel=1e-12
+        )
+
+
+_ML_ALPHAS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99]
+
+
+def _ml_series_mp(alpha, beta, z):
+    """Oracle: the Mittag-Leffler series summed in extended precision, as
+    the library did before its double-precision integral.  The largest
+    term is ~e^{|z|^(1/alpha)}, so the working precision covers that many
+    digits lost to cancellation plus a margin."""
+    scale = abs(z) ** (1.0 / alpha)
+    dps = 30 + int(0.45 * scale)
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        b = mpmath.mpf(beta)
+        zz = mpmath.mpf(z)
+        total = mpmath.mpf(0)
+        power = mpmath.mpf(1)
+        n_peak = (scale - beta) / alpha + 2.0
+        tiny = mpmath.mpf(10) ** (-dps + 5)
+        for n in range(1_000_000):
+            term = power * mpmath.rgamma(a * n + b)
+            total += term
+            if n > n_peak and abs(term) < tiny * abs(total):
+                return float(total)
+            power *= zz
+    raise AssertionError(f"oracle series did not converge for z={z}")
+
+
+def _ml_asymptotic(alpha, beta, x, terms=20):
+    """E_{alpha,beta}(-x) ~ sum_{k>=1} (-1)^{k+1} x^{-k} / Gamma(beta - alpha k)
+    for large x; 20 terms are far below double rounding for x >= 100."""
+    return math.fsum(
+        (-1.0) ** (k + 1) * x ** (-k) * float(rgamma(beta - alpha * k))
+        for k in range(1, terms + 1)
+    )
+
+
+class TestMittagLefflerIntegral:
+    @pytest.mark.parametrize("alpha", _ML_ALPHAS)
+    def test_matches_extended_precision_series(self, alpha):
+        # |z|^(1/alpha) from just past the series/integral switch at 3 to 200
+        for beta in (1.0, alpha):
+            for scale in (3.0001, 5.0, 12.0, 30.0, 80.0, 200.0):
+                z = -scale ** alpha
+                ref = _ml_series_mp(alpha, beta, z)
+                assert mittag_leffler(alpha, z, beta) == pytest.approx(
+                    ref, rel=1e-12, abs=0.0
+                ), (beta, scale)
+
+    @pytest.mark.parametrize("alpha", _ML_ALPHAS)
+    def test_matches_asymptotic_series(self, alpha):
+        for beta in (1.0, alpha):
+            for x in (1e4, 1e8):
+                ref = _ml_asymptotic(alpha, beta, x)
+                assert mittag_leffler(alpha, -x, beta) == pytest.approx(
+                    ref, rel=1e-12, abs=0.0
+                ), (beta, x)
+
+
+def test_library_runs_without_mpmath():
+    # a None entry in sys.modules makes every import of mpmath fail
+    script = """
+import sys
+sys.modules["mpmath"] = None
+import fracheat
+from fracheat.semigroup import subordinated_kernel, subordination_quadrature
+from fracheat.special import mittag_leffler, wright_phi
+assert mittag_leffler(0.5, -1.0) > 0.0      # float series
+assert mittag_leffler(0.5, -100.0) > 0.0    # integral
+assert wright_phi(0.5, 1.0) > 0.0           # float series
+assert wright_phi(0.5, 10.0) > 0.0          # integral
+assert len(subordination_quadrature(0.5).nodes) > 0
+assert subordinated_kernel(0.5, 0.5, 0.5, 0.1, 8).w[0] > 0.0
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
 
 
 class TestWright:
