@@ -15,21 +15,16 @@ from .kernel import (
     continuous_op_oracle,
     frac_laplacian_constant,
     kernel_weights,
-    kernel_weights_direct,
     toeplitz_matvec,
 )
 from .special import (
     SeriesConvergenceError,
-    bessel_i_scaled,
-    bessel_i_scaled_row,
     mittag_leffler,
     wright_phi,
 )
 from .semigroup import (
     frac_semigroup_apply,
     frac_semigroup_kernel,
-    heat_semigroup_apply,
-    heat_semigroup_kernel,
     subordinate_scalar_P,
     subordinate_scalar_S,
     subordinated_P_apply,

@@ -6,8 +6,11 @@ Two subcommands:
     fracheat consistency --profile gaussian --s 0.3,0.6 --h 0.4,0.2,0.1 ...
 
 Every flag can also come from a `key = value` config file given with
---config; explicit flags override the file.  Exit code is 0 on success
-and 1 if any study cell aborted.
+--config.  Each line becomes the flag `--key=value` (so `s = 0.4,0.8`,
+`T = 0.5`, `paper-scale = true`), parsed by the subcommand's own parser
+ahead of the command line: explicit flags override the file, and a key
+the subcommand has no flag for is rejected.  Exit code is 0 on success,
+1 if any study cell aborted and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -15,13 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .study import (
-    DESK_SCALE,
-    PAPER_SCALE,
-    StudyConfig,
-    run_consistency_study,
-    run_study,
-)
+from .study import PAPER_SCALE, StudyConfig, emit_csv, run_consistency_study, run_study
 
 
 def _parse_floats(text):
@@ -35,9 +32,18 @@ def _parse_pair(text):
     return vals
 
 
-def _load_config_file(path):
-    """Read `key = value` lines; '#' starts a comment, blank lines skipped."""
-    out = {}
+def _parse_bool(text):
+    if text.lower() in ("1", "true", "yes"):
+        return True
+    if text.lower() in ("0", "false", "no"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+
+
+def _config_flags(path):
+    """Turn `key = value` lines into `--key=value` flags; '#' starts a
+    comment, blank lines are skipped."""
+    out = []
     with open(path) as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -46,7 +52,7 @@ def _load_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{ln}: expected key = value, got {raw.rstrip()!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = val
+            out.append(f"--{key}={val}")
     return out
 
 
@@ -69,10 +75,11 @@ def _build_parser():
     st.add_argument("--T", type=float, dest="t_horizon")
     st.add_argument("--stepper", choices=("backward_euler", "l1_caputo", "mild_reference"))
     st.add_argument("--out", help="CSV output path (default: stdout)")
-    st.add_argument("--paper-scale", action="store_true",
-                    help="use the full-size domain and window")
+    st.add_argument("--paper-scale", nargs="?", const=True, default=False, type=_parse_bool,
+                    metavar="BOOL", help="use the full-size domain and window")
     st.add_argument("--workers", type=int)
-    st.add_argument("--timings", action="store_true",
+    st.add_argument("--timings", nargs="?", const=True, default=False, type=_parse_bool,
+                    metavar="BOOL",
                     help="record real wall times in the CSV (breaks byte-determinism)")
 
     co = sub.add_parser("consistency", help="operator-consistency sweep against the oracle")
@@ -87,35 +94,7 @@ def _build_parser():
     return parser
 
 
-_CONFIG_PARSERS = {
-    "problem": str, "s_values": _parse_floats, "alpha": float,
-    "h_values": _parse_floats, "dt": float, "domain": _parse_pair,
-    "window": _parse_pair, "t_horizon": float, "stepper": str, "out": str,
-    "workers": int, "paper_scale": lambda v: v.lower() in ("1", "true", "yes"),
-    "timings": lambda v: v.lower() in ("1", "true", "yes"),
-    "profile": str, "tol": float, "s": _parse_floats, "h": _parse_floats,
-    "T": float,
-}
-_CONFIG_ALIASES = {"s": "s_values", "h": "h_values", "T": "t_horizon"}
-
-
-def _merge_config(args):
-    """Overlay config-file values under explicit flags; returns a dict."""
-    merged = {}
-    if getattr(args, "config", None):
-        for key, raw in _load_config_file(args.config).items():
-            if key not in _CONFIG_PARSERS:
-                raise ValueError(f"unknown config key {key!r}")
-            merged[_CONFIG_ALIASES.get(key, key)] = _CONFIG_PARSERS[key](raw)
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if val is not None and val is not False:
-            merged[key] = val
-    return merged
-
-
-def _report(result, out):
+def _report(result, out, include_timings=False):
     for s, h, reason in result.failures:
         print(f"cell (s={s}, h={h}) aborted: {reason}", file=sys.stderr)
     for rate in result.rates:
@@ -125,36 +104,31 @@ def _report(result, out):
             file=sys.stderr,
         )
     if out is None and result.records:
-        from .study import emit_csv
-
-        emit_csv(result, sys.stdout)
+        emit_csv(result, sys.stdout, include_timings=include_timings)
     return 1 if result.failures else 0
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    merged = _merge_config(args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        # argv[0] is the subcommand; the file's flags go first so argv's win
+        args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+    opts = {key: val for key, val in vars(args).items()
+            if val is not None and key not in ("command", "config")}
 
     if args.command == "study":
-        if merged.pop("paper_scale", False):
-            merged.setdefault("domain", PAPER_SCALE["domain"])
-            merged.setdefault("window", PAPER_SCALE["window"])
-        merged.pop("timings", None)
-        include_timings = bool(getattr(args, "timings", False))
-        cfg = StudyConfig(include_timings=include_timings, **merged)
-        result = run_study(cfg)
-        return _report(result, cfg.out)
+        if opts.pop("paper_scale"):
+            opts.setdefault("domain", PAPER_SCALE["domain"])
+            opts.setdefault("window", PAPER_SCALE["window"])
+        cfg = StudyConfig(include_timings=opts.pop("timings"), **opts)
+        return _report(run_study(cfg), cfg.out, cfg.include_timings)
 
-    # consistency
-    kwargs = {}
-    for key in ("s_values", "h_values", "profile", "window", "domain", "tol", "out"):
-        if key in merged:
-            kwargs[key] = merged[key]
-    if "s_values" not in kwargs or "h_values" not in kwargs:
+    if "s_values" not in opts or "h_values" not in opts:
         print("consistency requires --s and --h", file=sys.stderr)
         return 2
-    result = run_consistency_study(**kwargs)
-    return _report(result, kwargs.get("out"))
+    return _report(run_consistency_study(**opts), opts.get("out"))
 
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ __all__ = [
     "SchemeConfig",
     "Trajectory",
     "caputo_l1_weights",
-    "step_backward_euler",
     "solve",
     "solve_scalar_l1",
     "evaluate_mild",
@@ -285,22 +284,6 @@ def _implicit_stage(kernel, shift, rhs, nonlin, x0, ax0, cfg, t):
     )
 
 
-def step_backward_euler(problem, cfg, kernel, u_prev, t_next, au_prev=None):
-    """One backward Euler step: (I + dt A) u = u_prev + dt (F(t_next) + f(u)).
-
-    au_prev is A u_prev if known.  Returns (u, newton_iters, cg_iters,
-    residual, A u).
-    """
-    dt = cfg.dt
-    rhs = u_prev / dt + problem.forcing_values(t_next)
-    return _implicit_stage(kernel, 1.0 / dt, rhs, problem.nonlinearity, u_prev, au_prev,
-                           cfg, t_next)
-
-
-def _operator_kernel(problem):
-    return kernel_weights(problem.s, problem.mesh.h, problem.mesh.n_points)
-
-
 def solve(problem, cfg, exact=None, window=None):
     """March the problem to t_final and return a Trajectory.
 
@@ -318,7 +301,7 @@ def solve(problem, cfg, exact=None, window=None):
 
     mesh = problem.mesh
     n_steps = cfg.n_steps(problem.t_horizon)
-    kernel = _operator_kernel(problem)
+    kernel = kernel_weights(problem.s, mesh.h, mesh.n_points)
     sel = mesh.window_slice(*window) if window is not None else slice(None)
     x_win = mesh.nodes[sel]
 
@@ -341,13 +324,15 @@ def solve(problem, cfg, exact=None, window=None):
 
     for n in range(1, n_steps + 1):
         t = n * cfg.dt
+        # backward Euler: (I/dt + A) u = u_prev/dt + F(t) + f(u)
         if cfg.stepper == "backward_euler":
-            u_new, ni, ci, res, au = step_backward_euler(problem, cfg, kernel, u, t, au)
+            shift, rhs = 1.0 / cfg.dt, u / cfg.dt + problem.forcing_values(t)
         else:
-            rhs = b[0] * u - _l1_history(b, diffs, n) + problem.forcing_values(t)
-            u_new, ni, ci, res, au = _implicit_stage(
-                kernel, b[0], rhs, problem.nonlinearity, u, au, cfg, t
-            )
+            shift, rhs = b[0], b[0] * u - _l1_history(b, diffs, n) + problem.forcing_values(t)
+        u_new, ni, ci, res, au = _implicit_stage(
+            kernel, shift, rhs, problem.nonlinearity, u, au, cfg, t
+        )
+        if cfg.stepper == "l1_caputo":
             diffs[n - 1] = u_new - u
         traj.log.append(f"{n},{t:.10g},{ni},{ci},{res:.3e}")
         if exact is not None:

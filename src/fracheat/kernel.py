@@ -2,10 +2,12 @@
 
 Builds the explicit convolution weights of the operator (fractional
 power of the 3-point second-difference Laplacian), applies the operator
-as a symmetric Toeplitz convolution (direct sum or FFT circulant
-embedding), and provides a singular-integral quadrature oracle for the
-continuous fractional Laplacian so the discrete/continuous consistency
-error can be measured.
+as a symmetric Toeplitz convolution by FFT circulant embedding, and
+provides a singular-integral quadrature oracle for the continuous
+fractional Laplacian so the discrete/continuous consistency error can be
+measured.  Independent routes to the same weights and products (the
+alternating-sign closed form, the O(N^2) direct sum) live in the tests
+as oracles.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "SymmetricKernel",
     "OracleConvergenceError",
     "kernel_weights",
-    "kernel_weights_direct",
     "apply_operator",
     "toeplitz_matvec",
     "frac_laplacian_constant",
@@ -57,9 +58,9 @@ class SymmetricKernel:
     t is the time of a semigroup kernel and None for the fractional
     Laplacian itself.  The Laplacian's weights have w[0] > 0, w[n] < 0
     for n >= 1, a vanishing whole-lattice row sum and
-    |w[n]| ~ tail_constant() / (h^{2s} n^{1+2s}); a semigroup kernel is
-    non-negative up to quadrature noise with mass() at most 1.  The
-    weights are made read-only on construction,
+    |w[n]| ~ frac_laplacian_constant(s) / (h^{2s} n^{1+2s}); a semigroup
+    kernel is non-negative up to quadrature noise with mass() at most 1.
+    The weights are made read-only on construction,
     because toeplitz_matvec caches the spectrum of the embedded kernel
     per FFT size and an in-place edit would leave that spectrum stale.
     """
@@ -81,12 +82,6 @@ class SymmetricKernel:
         """Two-sided kernel mass w[0] + 2 sum_{n>=1} w[n]."""
         return float(self.w[0] + 2.0 * np.sum(self.w[1:]))
 
-    def tail_constant(self):
-        """Limit of h^{2s} n^{1+2s} |w[n]|: 4^s Gamma(1/2+s) / (sqrt(pi) |Gamma(-s)|)."""
-        s = self.s
-        # |Gamma(-s)| = Gamma(1 - s) / s
-        return 4.0 ** s * math.exp(gammaln(0.5 + s) - gammaln(1.0 - s)) * s / math.sqrt(math.pi)
-
     def spectrum(self, size):
         """rfft of the embedded kernel w[N]..w[1], w[0], w[1]..w[N] at FFT
         length size, computed once per size.  Concurrent callers may both
@@ -104,7 +99,8 @@ def kernel_weights(s, h, half_width):
 
     The center weight is Gamma(2s+1) / (Gamma(1+s)^2 h^{2s}).  Off-center
     weights are minus the positive jump kernel
-    [4^s Gamma(1/2+s) / (sqrt(pi) |Gamma(-s)|)] Gamma(n-s) / (h^{2s} Gamma(n+1+s)),
+    C_s Gamma(n-s) / (h^{2s} Gamma(n+1+s)), with C_s = frac_laplacian_constant(s)
+    = 4^s Gamma(1/2+s) / (sqrt(pi) |Gamma(-s)|),
     evaluated through the stable ratio recurrence
     g_{n+1} = g_n (n - s)/(n + 1 + s) seeded by log-gamma at n = 1; this
     sidesteps the reflection of Gamma at negative arguments that the
@@ -122,8 +118,7 @@ def kernel_weights(s, h, half_width):
     w = np.empty(half_width + 1)
     w[0] = math.exp(gammaln(2.0 * s + 1.0) - 2.0 * gammaln(1.0 + s)) / h2s
 
-    # prefactor 4^s Gamma(1/2+s) / (sqrt(pi) |Gamma(-s)|), |Gamma(-s)| = Gamma(1-s)/s
-    pref = 4.0 ** s * s * math.exp(gammaln(0.5 + s) - gammaln(1.0 - s)) / math.sqrt(math.pi)
+    pref = frac_laplacian_constant(s)
     n = np.arange(1, half_width + 1, dtype=float)
     # log of Gamma(n-s)/Gamma(n+1+s) via cumulative sum of the ratio logs
     seed = gammaln(1.0 - s) - gammaln(2.0 + s)
@@ -133,48 +128,18 @@ def kernel_weights(s, h, half_width):
     return SymmetricKernel(s=float(s), h=float(h), w=w)
 
 
-def kernel_weights_direct(s, h, half_width):
-    """Alternating-sign closed form of the weights, evaluated stably.
-
-    K(n) = (-1)^n Gamma(2s+1) / (Gamma(1+s+n) Gamma(1+s-n) h^{2s}).
-    Expanding both shifted gammas from Gamma(1+s) by the functional
-    equation gives
-        K(n) = -[Gamma(2s+1)/Gamma(1+s)^2] prod_{k=1}^n (k-1-s)/(k+s) / h^{2s}
-    for n >= 1: the alternating sign cancels against the n-1 negative
-    factors, so the off-center weights are always negative.  The paired
-    log-ratio cumulative sum keeps the relative error near machine
-    precision out to n ~ 10^6.  Kept as an independent route for
-    cross-checking kernel_weights.
-    """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    if not h > 0.0:
-        raise ValueError(f"h must be positive, got {h}")
-    half_width = int(half_width)
-    h2s = h ** (2.0 * s)
-    w = np.empty(half_width + 1)
-    w[0] = math.exp(gammaln(2.0 * s + 1.0) - 2.0 * gammaln(1.0 + s)) / h2s
-    k = np.arange(1, half_width + 1, dtype=float)
-    inc = np.log(np.abs(k - 1.0 - s)) - np.log(k + s)
-    log_mag = gammaln(2.0 * s + 1.0) - 2.0 * gammaln(1.0 + s) + np.cumsum(inc)
-    w[1:] = -np.exp(log_mag) / h2s
-    return SymmetricKernel(s=float(s), h=float(h), w=w)
-
-
 # ---------------------------------------------------------------------------
 # Operator application
 # ---------------------------------------------------------------------------
 
-def toeplitz_matvec(kernel, values, method="fft"):
+def toeplitz_matvec(kernel, values):
     """Convolve a value array with the symmetric kernel w[|n|].
 
-    out[j] = sum_m w[|j-m|] values[m], values extended by zero.  The FFT
-    path embeds the band in a circulant of length
-    next_fast_len(2 half_width + m) and multiplies by the kernel's cached
-    spectrum at that length, so a product costs one forward and one
-    inverse FFT; the result is bitwise that of transforming the kernel
-    on every call.  The direct path is the plain O(N^2) sum retained as a
-    cross-check oracle and for small inputs.
+    out[j] = sum_m w[|j-m|] values[m], values extended by zero.  The band
+    is embedded in a circulant of length next_fast_len(2 half_width + m)
+    and multiplied by the kernel's cached spectrum at that length, so a
+    product costs one forward and one inverse FFT; the result is bitwise
+    that of transforming the kernel on every call.
     """
     m = len(values)
     n_half = kernel.half_width
@@ -183,17 +148,12 @@ def toeplitz_matvec(kernel, values, method="fft"):
             f"kernel half_width {n_half} shorter than grid ({m} points); "
             "truncation would clip inside the domain"
         )
-    if method == "direct":
-        full = np.concatenate((kernel.w[:0:-1], kernel.w))  # w[N]..w[1], w[0], w[1]..w[N]
-        return np.convolve(values, full, mode="full")[n_half : n_half + m]
-    if method != "fft":
-        raise ValueError(f"unknown method {method!r}")
     size = next_fast_len(2 * n_half + m)
     conv = irfft(rfft(values, size) * kernel.spectrum(size), size)
     return conv[n_half : n_half + m]
 
 
-def apply_operator(kernel, u, method="fft"):
+def apply_operator(kernel, u):
     """Apply the discrete fractional Laplacian to a grid function.
 
     The kernel must match the mesh size and be at least as wide as the
@@ -203,7 +163,7 @@ def apply_operator(kernel, u, method="fft"):
         raise TypeError("u must be a GridFunction")
     if not math.isclose(kernel.h, u.mesh.h, rel_tol=1e-12):
         raise ValueError(f"kernel h={kernel.h} does not match mesh h={u.mesh.h}")
-    return GridFunction(u.mesh, toeplitz_matvec(kernel, u.values, method=method))
+    return GridFunction(u.mesh, toeplitz_matvec(kernel, u.values))
 
 
 # ---------------------------------------------------------------------------
@@ -314,40 +274,27 @@ def continuous_op_oracle(U, s, x, tol=1e-8, kinks=()):
     return c_s * (inner + middle + tail)
 
 
-def consistency_error(U, s, mesh, exact_op=None, window=None, tol=1e-7, kinks=(),
-                      points=None):
+def consistency_error(U, s, mesh, points, exact_op=None, tol=1e-7):
     """Sup-norm gap between the discrete operator of the sampled profile
-    and the continuous operator, over a measurement window.
+    and the continuous operator at the measurement points.
 
     The discrete side applies the lattice kernel to the restriction of U
     (zero beyond the mesh); the continuous side uses exact_op(x) when a
-    closed form is available, else the quadrature oracle.  `points`
-    optionally fixes the measurement abscissae (must be mesh nodes), so
-    studies across nested meshes can reuse cached oracle values.
+    closed form is available, else the quadrature oracle.  The points
+    must be mesh nodes; fixing them lets studies across nested meshes
+    reuse cached oracle values.
     """
     from .grid import restrict
 
     kern = kernel_weights(s, mesh.h, mesh.n_points)
     disc = apply_operator(kern, restrict(U, mesh))
     xs = mesh.nodes
-    if points is not None:
-        sel = []
-        for p in points:
-            j = int(round((p - xs[0]) / mesh.h))
-            if not (0 <= j < len(xs)) or abs(xs[j] - p) > 1e-9 * mesh.h:
-                raise ValueError(f"measurement point {p} is not a node of the mesh")
-            sel.append(j)
-        sel = np.array(sel)
-    elif window is not None:
-        sl = mesh.window_slice(*window)
-        sel = np.arange(sl.start, sl.stop)
-    else:
-        sel = np.arange(len(xs))
     worst = 0.0
-    for j in sel:
+    for p in points:
+        j = int(round((p - xs[0]) / mesh.h))
+        if not (0 <= j < len(xs)) or abs(xs[j] - p) > 1e-9 * mesh.h:
+            raise ValueError(f"measurement point {p} is not a node of the mesh")
         xj = xs[j]
-        cont = exact_op(xj) if exact_op is not None else continuous_op_oracle(
-            U, s, xj, tol=tol, kinks=kinks
-        )
+        cont = exact_op(xj) if exact_op is not None else continuous_op_oracle(U, s, xj, tol=tol)
         worst = max(worst, abs(disc.values[j] - cont))
     return worst

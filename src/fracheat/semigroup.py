@@ -1,5 +1,5 @@
-"""Lattice heat semigroup, its fractional power, and the Wright-subordinated
-solution operators of the time-fractional problem.
+"""Lattice fractional heat semigroup and the Wright-subordinated solution
+operators of the time-fractional problem.
 
 The fractional semigroup kernel is computed from the spectral integral
     L_n(t) = (1/2pi) integral_{-pi}^{pi} exp(-t lam(theta)) e^{-i n theta} dtheta,
@@ -13,9 +13,11 @@ builder subtracts that cusp in closed form (its coefficients are the
 h = 1 lattice weights of lam), which leaves an aliasing error of
 O(m^{-1-4s}); it picks m from that error model and doubles it until two
 grids agree to the tolerance (1e-12 for the semigroup kernel, 1e-10 for
-the subordinated ones).  All kernels are non-negative with total mass
-at most one (sub-Markov), so every operator here is a sup-norm
-contraction.
+the subordinated ones).  At s = 1 there is no cusp and the semigroup
+kernel is the plain lattice heat kernel e^{-x} I_n(x), x = 2t/h^2.  All
+kernels are non-negative with total mass at most one (sub-Markov), so
+every operator here is a sup-norm contraction.  Kernels are built afresh
+on every call; the library never asks for the same kernel twice.
 """
 
 from __future__ import annotations
@@ -30,13 +32,11 @@ from scipy.special import zeta
 
 from .grid import GridFunction
 from .kernel import SymmetricKernel, kernel_weights, toeplitz_matvec
-from .special import SeriesConvergenceError, bessel_i_scaled_row, wright_phi
+from .special import SeriesConvergenceError, wright_phi
 
 __all__ = [
     "SubordinationQuadrature",
     "frac_semigroup_kernel",
-    "heat_semigroup_kernel",
-    "heat_semigroup_apply",
     "frac_semigroup_apply",
     "subordination_quadrature",
     "subordinated_kernel",
@@ -52,16 +52,10 @@ def frac_semigroup_kernel(s, h, t, half_width, tol=1e-12):
 
     Entries L_n(t / h^{2s}) for n = 0..half_width, via cusp-corrected
     trapezoidal sampling of the spectral integral with node doubling;
-    raises if the doubling does not settle below tol.  Results are cached: the
-    subordinated operators evaluate this at the same (s, h, t) hundreds
-    of times.
+    raises if the doubling does not settle below tol.  s = 1 is accepted
+    and gives the lattice heat kernel e^{-2t/h^2} I_n(2t/h^2).
     """
-    return _frac_semigroup_kernel(float(s), float(h), float(t), int(half_width),
-                                  float(tol))
-
-
-@lru_cache(maxsize=4096)
-def _frac_semigroup_kernel(s, h, t, half_width, tol):
+    s, h, t, half_width, tol = float(s), float(h), float(t), int(half_width), float(tol)
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")
     if not h > 0.0:
@@ -160,35 +154,9 @@ def _spectral_kernel(s, h, t, half_width, factors, rates, tol):
     )
 
 
-def heat_semigroup_kernel(h, t, half_width):
-    """Kernel of the plain lattice heat semigroup exp(t Laplacian):
-    entries e^{-2t/h^2} I_n(2t/h^2) from the scaled Bessel functions,
-    extended so the dropped tail is below 1e-16.
-    """
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    x = 2.0 * t / h ** 2
-    need = max(int(half_width), int(x + 10.0 * math.sqrt(x) + 20.0))
-    row = bessel_i_scaled_row(need, x)
-    keep = np.nonzero(row >= 1e-16)[0]
-    width = max(int(half_width), int(keep[-1]) if keep.size else 0)
-    return SymmetricKernel(s=1.0, h=float(h), t=float(t), w=row[: width + 1])
-
-
-def heat_semigroup_apply(u, t):
-    """Apply exp(t Laplacian) to a grid function (Bessel kernel)."""
-    kern = heat_semigroup_kernel(u.mesh.h, t, u.mesh.n_points)
-    return GridFunction(u.mesh, toeplitz_matvec(kern, u.values))
-
-
-def frac_semigroup_apply(u, s, t, kernel=None):
+def frac_semigroup_apply(u, s, t):
     """Apply the fractional semigroup exp(-t A) to a grid function."""
-    if kernel is None:
-        kernel = frac_semigroup_kernel(s, u.mesh.h, t, u.mesh.n_points)
-    if not math.isclose(kernel.h, u.mesh.h, rel_tol=1e-12):
-        raise ValueError("kernel mesh size does not match the grid function")
-    if kernel.half_width < u.mesh.n_points:
-        raise ValueError("kernel too narrow for the grid")
+    kernel = frac_semigroup_kernel(s, u.mesh.h, t, u.mesh.n_points)
     return GridFunction(u.mesh, toeplitz_matvec(kernel, u.values))
 
 
@@ -227,7 +195,9 @@ def subordination_quadrature(alpha, cutoff=1e-14):
     The range is truncated where the closed-form decay
     exp(-(1-alpha) (alpha^alpha tau)^{1/(1-alpha)}) of Phi_alpha, times
     (1 + tau), drops below `cutoff`, and is covered by whole fixed-width
-    Gauss-Legendre panels.
+    Gauss-Legendre panels.  Checked to build for alpha from 0.05 to 0.94.
+    From alpha = 0.95 up, Phi_alpha is a peak at tau ~ 1 too narrow for
+    the panels, and the moment check raises SeriesConvergenceError.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
@@ -253,6 +223,12 @@ def subordination_quadrature(alpha, cutoff=1e-14):
     return quadr
 
 
+# 1e-10 (vs 1e-12 for the plain semigroup kernel): the subordinated
+# operators back identities checked at the 1e-6..1e-8 level while their
+# contraction bounds have O(1) slack
+_SUBORDINATED_TOL = 1e-10
+
+
 def subordinated_kernel(s, h, alpha, t, half_width, weighted_by_tau=False):
     """Combined convolution kernel of the subordinated solution operators.
 
@@ -260,24 +236,16 @@ def subordinated_kernel(s, h, alpha, t, half_width, weighted_by_tau=False):
     integral Phi_alpha(tau) exp(-tau t^alpha A) dtau; with it, of
     integral tau Phi_alpha(tau) exp(-tau t^alpha A) dtau (the prefactor
     alpha t^{alpha-1} of the second operator is left to the caller).
-    Cached: one kernel serves any number of grid functions.
+    All tau nodes share the theta grid, so the whole tau integral is one
+    spectral integrand.
     """
-    return _subordinated_kernel(float(s), float(h), float(alpha), float(t),
-                                int(half_width), bool(weighted_by_tau))
-
-
-@lru_cache(maxsize=256)
-def _subordinated_kernel(s, h, alpha, t, half_width, weighted_by_tau, tol=1e-10):
-    # tol 1e-10 (vs 1e-12 for the plain semigroup kernel): the subordinated
-    # operators back identities checked at the 1e-6..1e-8 level while
-    # their contraction bounds have O(1) slack.  All tau nodes share the
-    # theta grid, so the whole tau integral is one spectral integrand.
+    s, h, alpha, t, half_width = float(s), float(h), float(alpha), float(t), int(half_width)
     quadr = subordination_quadrature(alpha)
     factors = quadr.weights * quadr.phi
     if weighted_by_tau:
         factors = factors * quadr.nodes
     rates = quadr.nodes * t ** alpha / h ** (2.0 * s)  # per-node t / h^{2s}
-    return _spectral_kernel(s, h, t, half_width, factors, rates, tol)
+    return _spectral_kernel(s, h, t, half_width, factors, rates, _SUBORDINATED_TOL)
 
 
 def subordinated_S_apply(u, s, alpha, t):

@@ -1,9 +1,8 @@
 """Special functions used by the fractional-diffusion kernels and solvers.
 
-Provides exponentially scaled modified Bessel functions of integer
-order (all orders at once), the two parameter Mittag-Leffler function
-for real arguments and 0 < alpha <= 1, and the Wright probability
-density on [0, inf), all in double precision.
+Provides the two parameter Mittag-Leffler function for real arguments
+and 0 < alpha <= 1, and the Wright probability density on [0, inf),
+both in double precision.
 
 All routines are pure functions of their arguments and can be called
 concurrently from any number of threads.
@@ -14,14 +13,11 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, ive
+from scipy.special import gammaln
 
 __all__ = [
     "SeriesConvergenceError",
-    "bessel_i_scaled",
-    "bessel_i_scaled_row",
     "mittag_leffler",
     "wright_phi",
 ]
@@ -29,36 +25,6 @@ __all__ = [
 
 class SeriesConvergenceError(RuntimeError):
     """A series or recurrence failed to reach the requested tolerance."""
-
-
-# ---------------------------------------------------------------------------
-# Scaled modified Bessel functions e^{-x} I_n(x)
-# ---------------------------------------------------------------------------
-
-_BESSEL_X_MAX = 5.0e7  # a row covering the mass needs ~x entries; refuse absurd arguments
-
-
-def bessel_i_scaled_row(n_max, x):
-    """Return the array [e^{-x} I_0(x), ..., e^{-x} I_{n_max}(x)].
-
-    Every entry lies in [0, 1] and no unscaled Bessel value is ever
-    formed (scipy.special.ive).
-    """
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    x = float(x)
-    if x < 0.0:
-        raise ValueError(f"bessel_i_scaled requires x >= 0, got {x}")
-    if x > _BESSEL_X_MAX:
-        raise ValueError(f"argument {x} too large for a Bessel row")
-    return ive(np.arange(n_max + 1), x)
-
-
-def bessel_i_scaled(n, x):
-    """Return e^{-x} I_n(x) for integer order n (symmetric in n <-> -n)."""
-    n = abs(int(n))
-    return float(bessel_i_scaled_row(n, x)[n])
 
 
 # ---------------------------------------------------------------------------

@@ -186,9 +186,12 @@ def _dt_floor_probe(cfg, records):
     dt-halving rerun at the finest succeeding h.
 
     For a first-order stepper the dt error is about twice the change
-    under halving.  Returns a dict s -> floor estimate.
+    under halving.  Returns a dict s -> floor estimate, empty for
+    mild_reference: it has no time step, so its floor is exactly 0.
     """
     floors = {}
+    if cfg.stepper == "mild_reference":
+        return floors
     for s in sorted(cfg.s_values):
         mine = [r for r in records if r.s == s]
         if len(mine) < 2:

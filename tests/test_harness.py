@@ -1,5 +1,8 @@
+import ast
+import importlib
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +196,35 @@ class TestCli:
         assert {r.s for r in recs} == {0.5}  # flag overrode config file
         assert {r.problem for r in recs} == {"example2"}
 
+    def test_config_file_timings_reach_the_csv(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(
+            "problem = example2\ns = 0.5\nh = 0.2,0.1\ndt = 0.02\nT = 0.1\n"
+            "domain = -1,1\nwindow = -0.5,0.5\ntimings = true\n"
+        )
+        out_path = tmp_path / "study.csv"
+        assert cli_main(["study", "--config", str(cfgfile), "--out", str(out_path)]) == 0
+        assert all(r.wall_ms > 0.0 for r in read_csv(str(out_path)))
+
+    def test_timings_reach_the_stdout_csv(self, capsys):
+        rc = cli_main([
+            "study", "--problem", "example2", "--s", "0.5", "--h", "0.2,0.1",
+            "--dt", "0.02", "--T", "0.1", "--domain=-1,1", "--window=-0.5,0.5",
+            "--timings",
+        ])
+        assert rc == 0
+        recs = read_csv(io.StringIO(capsys.readouterr().out))
+        assert len(recs) == 2 and all(r.wall_ms > 0.0 for r in recs)
+
+    def test_config_key_the_subcommand_lacks_is_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("s = 0.5\nh = 0.4,0.2\nproblem = example2\ndt = 0.02\nT = 0.1\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["consistency", "--config", str(cfgfile), "--window=-1,1",
+                      "--domain=-10,10"])
+        assert exc.value.code == 2
+        assert "--problem=example2" in capsys.readouterr().err
+
     def test_study_failure_exit_1(self, capsys):
         rc = cli_main([
             "study", "--problem", "example1", "--s", "0.5",
@@ -200,3 +232,20 @@ class TestCli:
             "--domain=-20,20", "--window=-5,5",
         ])
         assert rc == 1
+
+
+def test_demos_import_only_existing_names():
+    # the demos are not run by the test suite; this catches a demo that
+    # imports a name the library no longer has
+    demos = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+    assert demos
+    for demo in demos:
+        for node in ast.walk(ast.parse(demo.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fracheat"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{demo.name}: {node.module}.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("fracheat"):
+                        importlib.import_module(alias.name)
