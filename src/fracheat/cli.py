@@ -3,7 +3,7 @@
 Two subcommands:
 
     fracheat study --problem example1 --s 0.4,0.8 --out study.csv ...
-    fracheat consistency --profile gaussian --s 0.3,0.6 --h 0.4,0.2,0.1 ...
+    fracheat consistency --s 0.3,0.6 --h 0.4,0.2,0.1 ...
 
 Every flag can also come from a `key = value` config file given with
 --config.  Each line becomes the flag `--key=value` (so `s = 0.4,0.8`,
@@ -84,7 +84,6 @@ def _build_parser():
 
     co = sub.add_parser("consistency", help="operator-consistency sweep against the oracle")
     co.add_argument("--config", help="key = value config file (flags override it)")
-    co.add_argument("--profile", default=None)
     co.add_argument("--s", type=_parse_floats, dest="s_values", metavar="LIST")
     co.add_argument("--h", type=_parse_floats, dest="h_values", metavar="LIST")
     co.add_argument("--domain", type=_parse_pair, metavar="A,B")
@@ -122,7 +121,10 @@ def main(argv=None):
         if opts.pop("paper_scale"):
             opts.setdefault("domain", PAPER_SCALE["domain"])
             opts.setdefault("window", PAPER_SCALE["window"])
-        cfg = StudyConfig(include_timings=opts.pop("timings"), **opts)
+        try:
+            cfg = StudyConfig(include_timings=opts.pop("timings"), **opts)
+        except ValueError as exc:
+            parser.error(f"study: {exc}")
         return _report(run_study(cfg), cfg.out, cfg.include_timings)
 
     if "s_values" not in opts or "h_values" not in opts:

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import GridFunction, Mesh
+from .grid import GridFunction, Mesh, open_text
 from .kernel import kernel_weights, toeplitz_matvec
 from . import semigroup as sg
 
@@ -54,7 +54,6 @@ class Nonlinearity:
 
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
-    label: str = "f"
 
     def __post_init__(self):
         at_zero = np.asarray(self.f(np.zeros(1)), dtype=float)
@@ -104,14 +103,12 @@ class SchemeConfig:
     """Numerical parameters of a run.
 
     stepper is one of "backward_euler", "l1_caputo", "mild_reference";
-    snapshot_times are matched to the nearest step.
+    snapshot_times must lie in [0, t_horizon] and are matched to the
+    nearest step.
     """
 
     stepper: str
     dt: float
-    newton_tol: float = 1e-11
-    newton_max_iter: int = 30
-    linear_solver_tol: float = 1e-12
     snapshot_times: tuple = ()
 
     def __post_init__(self):
@@ -119,8 +116,6 @@ class SchemeConfig:
             raise ValueError(f"unknown stepper {self.stepper!r}")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if not (self.newton_tol > 0.0 and self.linear_solver_tol > 0.0):
-            raise ValueError("tolerances must be positive")
 
     def n_steps(self, t_horizon):
         n = round(t_horizon / self.dt)
@@ -133,9 +128,6 @@ class SchemeConfig:
 class Trajectory:
     """Output of a run: snapshots, running error, and a solver log."""
 
-    mesh: Mesh
-    dt: float
-    times: list = field(default_factory=list)
     snapshots: dict = field(default_factory=dict)
     sup_error: Optional[float] = None
     log: list = field(default_factory=list)
@@ -143,16 +135,12 @@ class Trajectory:
 
     def snapshots_to_csv(self, path_or_buf):
         """Write all snapshots as long-format CSV with header ``t,x,value``."""
-        buf = path_or_buf if hasattr(path_or_buf, "write") else open(path_or_buf, "w")
-        try:
+        with open_text(path_or_buf, "w") as buf:
             buf.write("t,x,value\n")
             for t in sorted(self.snapshots):
                 u = self.snapshots[t]
                 for x, v in zip(u.mesh.nodes, u.values):
                     buf.write(f"{t:.17g},{x:.17g},{v:.17g}\n")
-        finally:
-            if buf is not path_or_buf:
-                buf.close()
 
 
 def _l1_history(b, diffs, n):
@@ -224,7 +212,14 @@ def _cg(apply, b, x0, jx0, rtol, t):
     raise RuntimeError(f"step to t={t:.10g}: CG did not converge in {maxiter} iterations")
 
 
-def _implicit_stage(kernel, shift, rhs, nonlin, x0, ax0, cfg, t):
+# Newton stops once sup |residual| <= _NEWTON_TOL max(1, sup |rhs|); every
+# CG solve runs to a relative residual of _CG_RTOL
+_NEWTON_TOL = 1e-11
+_NEWTON_MAX_ITER = 30
+_CG_RTOL = 1e-12
+
+
+def _implicit_stage(kernel, shift, rhs, nonlin, x0, ax0, t):
     """Solve shift*u + A u - f(u) = rhs for the step to time t.
 
     x0 is the initial guess and ax0 its product A x0, or None when the
@@ -245,7 +240,7 @@ def _implicit_stage(kernel, shift, rhs, nonlin, x0, ax0, cfg, t):
         # stays to keep every output bit of the original operator
         diag = np.zeros(n)
         jx0 = None if ax0 is None else shift * x0 + ax0 + diag * x0
-        u, cg_total = _cg(jacobian(diag), rhs, x0, jx0, cfg.linear_solver_tol, t)
+        u, cg_total = _cg(jacobian(diag), rhs, x0, jx0, _CG_RTOL, t)
         au = toeplitz_matvec(kernel, u)
         res = shift * u + au - rhs
         return u, 0, cg_total, float(np.max(np.abs(res))), au
@@ -258,12 +253,11 @@ def _implicit_stage(kernel, shift, rhs, nonlin, x0, ax0, cfg, t):
     au = toeplitz_matvec(kernel, u) if ax0 is None else ax0
     g = residual(u, au)
     res = float(np.max(np.abs(g)))
-    tol = cfg.newton_tol * max(1.0, float(np.max(np.abs(rhs))))
-    for it in range(1, cfg.newton_max_iter + 1):
+    tol = _NEWTON_TOL * max(1.0, float(np.max(np.abs(rhs))))
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         if res <= tol:
             return u, it - 1, cg_total, res, au
-        delta, ci = _cg(jacobian(-nonlin.df(u)), -g, np.zeros(n), None,
-                        cfg.linear_solver_tol, t)
+        delta, ci = _cg(jacobian(-nonlin.df(u)), -g, np.zeros(n), None, _CG_RTOL, t)
         cg_total += ci
         damping = 1.0
         # damped update: halve the step while the residual fails to drop
@@ -277,9 +271,9 @@ def _implicit_stage(kernel, shift, rhs, nonlin, x0, ax0, cfg, t):
             damping *= 0.5
         u, au, g, res = u_try, au_try, g_try, res_try
     if res <= tol:
-        return u, cfg.newton_max_iter, cg_total, res, au
+        return u, _NEWTON_MAX_ITER, cg_total, res, au
     raise RuntimeError(
-        f"step to t={t:.10g}: Newton did not converge in {cfg.newton_max_iter} "
+        f"step to t={t:.10g}: Newton did not converge in {_NEWTON_MAX_ITER} "
         f"iterations (residual {res:.3e})"
     )
 
@@ -289,9 +283,15 @@ def solve(problem, cfg, exact=None, window=None):
 
     exact, if given, has signature exact(t, x) and the running sup-norm
     error against it (over the window, default the whole mesh) is
-    tracked across all steps.  Snapshot times are rounded to the grid of
-    steps.  Log lines have the form ``step,t,newton_iters,cg_iters,residual``.
+    tracked across all steps.  Snapshot times outside [0, t_horizon] are
+    rejected; the others are rounded to the grid of steps.  Log lines have
+    the form ``step,t,newton_iters,cg_iters,residual``.
     """
+    for t_req in cfg.snapshot_times:
+        if not 0.0 <= t_req <= problem.t_horizon:
+            raise ValueError(
+                f"snapshot time {t_req:g} lies outside [0, {problem.t_horizon:g}]"
+            )
     if cfg.stepper == "mild_reference":
         return _solve_mild(problem, cfg, exact=exact, window=window)
     if cfg.stepper == "backward_euler" and problem.alpha != 1.0:
@@ -307,9 +307,9 @@ def solve(problem, cfg, exact=None, window=None):
 
     snap_steps = {}
     for t_req in cfg.snapshot_times:
-        snap_steps[min(max(round(t_req / cfg.dt), 0), n_steps)] = t_req
+        snap_steps[round(t_req / cfg.dt)] = t_req
 
-    traj = Trajectory(mesh=mesh, dt=cfg.dt)
+    traj = Trajectory()
     u = problem.u0.values.copy()
     au = None  # A u, carried from each step's residual into the next step
     sup_err = 0.0 if exact is not None else None
@@ -330,7 +330,7 @@ def solve(problem, cfg, exact=None, window=None):
         else:
             shift, rhs = b[0], b[0] * u - _l1_history(b, diffs, n) + problem.forcing_values(t)
         u_new, ni, ci, res, au = _implicit_stage(
-            kernel, shift, rhs, problem.nonlinearity, u, au, cfg, t
+            kernel, shift, rhs, problem.nonlinearity, u, au, t
         )
         if cfg.stepper == "l1_caputo":
             diffs[n - 1] = u_new - u
@@ -339,7 +339,6 @@ def solve(problem, cfg, exact=None, window=None):
             sup_err = max(sup_err, float(np.max(np.abs(u_new[sel] - exact(t, x_win)))))
         if n in snap_steps:
             traj.snapshots[t] = GridFunction(mesh, u_new.copy())
-        traj.times.append(t)
         u = u_new
 
     traj.final = GridFunction(mesh, u)
@@ -406,13 +405,12 @@ def _solve_mild(problem, cfg, exact=None, window=None):
     sel = mesh.window_slice(*window) if window is not None else slice(None)
     x_win = mesh.nodes[sel]
     times = sorted(set(cfg.snapshot_times) | {problem.t_horizon})
-    traj = Trajectory(mesh=mesh, dt=cfg.dt)
+    traj = Trajectory()
     sup_err = None if exact is None else 0.0
-    for t in times:
+    for step, t in enumerate(times, start=1):
         vals = _mild_state(problem, float(t))
         traj.snapshots[float(t)] = GridFunction(mesh, vals)
-        traj.times.append(float(t))
-        traj.log.append(f"{len(traj.times)},{t:.10g},0,0,0.0e+00")
+        traj.log.append(f"{step},{t:.10g},0,0,0.0e+00")
         if exact is not None:
             sup_err = max(sup_err, float(np.max(np.abs(vals[sel] - exact(t, x_win)))))
     traj.final = traj.snapshots[times[-1]]

@@ -8,7 +8,7 @@ and are implicitly zero outside the interval.
 
 from __future__ import annotations
 
-import io
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,14 +90,10 @@ class GridFunction:
 
         One node per row, 17 significant digits (round-trip exact).
         """
-        buf = path_or_buf if hasattr(path_or_buf, "write") else open(path_or_buf, "w")
-        try:
+        with open_text(path_or_buf, "w") as buf:
             buf.write("x,value\n")
             for x, v in zip(self.mesh.nodes, self.values):
                 buf.write(f"{x:.17g},{v:.17g}\n")
-        finally:
-            if buf is not path_or_buf:
-                buf.close()
 
     @staticmethod
     def from_csv(path_or_buf, mesh=None):
@@ -106,12 +102,8 @@ class GridFunction:
         If mesh is omitted it is reconstructed from the x column
         (assumed uniform and straddling zero).
         """
-        buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf)
-        try:
+        with open_text(path_or_buf) as buf:
             data = np.loadtxt(buf, delimiter=",", skiprows=1, ndmin=2)
-        finally:
-            if buf is not path_or_buf:
-                buf.close()
         x, v = data[:, 0], data[:, 1]
         if mesh is None:
             h = float(np.median(np.diff(x)))
@@ -119,6 +111,17 @@ class GridFunction:
         if not np.allclose(mesh.nodes, x, rtol=0.0, atol=1e-9 * mesh.h):
             raise ValueError("CSV nodes do not match the supplied mesh")
         return GridFunction(mesh, v)
+
+
+@contextmanager
+def open_text(path_or_buf, mode="r"):
+    """Yield path_or_buf itself if it is already a text buffer, else the
+    file it names opened in mode and closed on exit."""
+    if hasattr(path_or_buf, "read" if mode == "r" else "write"):
+        yield path_or_buf
+    else:
+        with open(path_or_buf, mode) as fh:
+            yield fh
 
 
 def restrict(F, mesh):

@@ -3,13 +3,15 @@
 Both examples are separable, u(t, x) = e^{-t} U(x), with a profile whose
 fractional Laplacian has a closed form, so the forcing that makes u an
 exact solution of  d_t u + (-Laplacian)^s u = F  is known analytically
-and discretization error can be measured directly.
+and discretization error can be measured directly.  That holds for the
+first-order time derivative (alpha = 1) only: for alpha < 1 the same
+forcing is passed on, and e^{-t} U does not solve the Caputo problem.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -42,12 +44,6 @@ class ManufacturedSolution:
     exact: Callable[[float, np.ndarray], np.ndarray]
     forcing: Callable[[float, np.ndarray], np.ndarray]
     support: tuple | None
-    smoothness: str
-    kinks: tuple = ()
-
-    def profile(self, x):
-        """The spatial profile U(x) = exact(0, x)."""
-        return self.exact(0.0, np.asarray(x, dtype=float))
 
 
 def example1(s):
@@ -83,7 +79,6 @@ def example1(s):
         exact=exact,
         forcing=forcing,
         support=None,
-        smoothness="smooth_decaying",
     )
 
 
@@ -121,8 +116,6 @@ def example2(s):
         exact=exact,
         forcing=forcing,
         support=(-1.0, 1.0),
-        smoothness="compact_nonsmooth",
-        kinks=(-1.0, 1.0),
     )
 
 
@@ -141,6 +134,9 @@ def to_evolution_problem(m, mesh, alpha=1.0, t_horizon=1.0):
     u0 is the restriction of the t = 0 profile; the forcing callable is
     passed through for per-step sampling.  Compactly supported examples
     require the mesh to match their support exactly (zero boundary).
+    The forcing is built for alpha = 1: at alpha < 1, m.exact does not
+    solve the returned problem, so errors against it are not
+    discretization errors.
     """
     if m.support is not None:
         if mesh.a < m.support[0] - 1e-12 or mesh.b > m.support[1] + 1e-12:
@@ -168,14 +164,6 @@ def semilinear_variant(m, mesh, alpha=1.0, t_horizon=1.0):
     def forcing(t, x):
         return m.forcing(t, x) + m.exact(t, x) ** 3
 
-    base = to_evolution_problem(m, mesh, alpha=alpha, t_horizon=t_horizon)
     nl = Nonlinearity(f=lambda u: -(u ** 3), df=lambda u: -3.0 * u * u)
-    return EvolutionProblem(
-        s=base.s,
-        alpha=base.alpha,
-        mesh=mesh,
-        u0=base.u0,
-        t_horizon=t_horizon,
-        forcing=forcing,
-        nonlinearity=nl,
-    )
+    return replace(to_evolution_problem(m, mesh, alpha=alpha, t_horizon=t_horizon),
+                   forcing=forcing, nonlinearity=nl)

@@ -47,15 +47,19 @@ __all__ = [
 ]
 
 
-def frac_semigroup_kernel(s, h, t, half_width, tol=1e-12):
+# node doubling of the spectral builder stops once two grids agree to this
+_SEMIGROUP_TOL = 1e-12
+
+
+def frac_semigroup_kernel(s, h, t, half_width):
     """Kernel of exp(-t A) for the discrete fractional Laplacian A.
 
     Entries L_n(t / h^{2s}) for n = 0..half_width, via cusp-corrected
     trapezoidal sampling of the spectral integral with node doubling;
-    raises if the doubling does not settle below tol.  s = 1 is accepted
-    and gives the lattice heat kernel e^{-2t/h^2} I_n(2t/h^2).
+    raises if the doubling does not settle below 1e-12.  s = 1 is
+    accepted and gives the lattice heat kernel e^{-2t/h^2} I_n(2t/h^2).
     """
-    s, h, t, half_width, tol = float(s), float(h), float(t), int(half_width), float(tol)
+    s, h, t, half_width = float(s), float(h), float(t), int(half_width)
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")
     if not h > 0.0:
@@ -67,7 +71,7 @@ def frac_semigroup_kernel(s, h, t, half_width, tol=1e-12):
         w[0] = 1.0
         return SymmetricKernel(s=s, h=h, t=0.0, w=w)
     return _spectral_kernel(s, h, t, half_width, np.ones(1),
-                            np.array([t / h ** (2.0 * s)]), tol)
+                            np.array([t / h ** (2.0 * s)]), _SEMIGROUP_TOL)
 
 
 _MAX_NODES = 1 << 22   # largest trapezoid grid; half of it is sampled
@@ -123,7 +127,7 @@ def _spectral_kernel(s, h, t, half_width, factors, rates, tol):
     if 2.0 * m > _MAX_NODES:  # room for one doubling
         raise SeriesConvergenceError(
             f"spectral kernel needs ~{m:.1e} quadrature nodes for tol={tol} "
-            f"at s={s}, h={h}, t={t}; request a looser tol"
+            f"at s={s}, h={h}, t={t}"
         )
     m = 1 << max(8, int(math.ceil(math.log2(m))))
 
@@ -186,15 +190,16 @@ class SubordinationQuadrature:
 
 _GL_ORDER = 16
 _PANEL_WIDTH = 0.5
+_TAU_CUTOFF = 1e-14
 
 
 @lru_cache(maxsize=64)
-def subordination_quadrature(alpha, cutoff=1e-14):
+def subordination_quadrature(alpha):
     """Build the tau-quadrature for a given time-fractional order.
 
     The range is truncated where the closed-form decay
     exp(-(1-alpha) (alpha^alpha tau)^{1/(1-alpha)}) of Phi_alpha, times
-    (1 + tau), drops below `cutoff`, and is covered by whole fixed-width
+    (1 + tau), drops below 1e-14, and is covered by whole fixed-width
     Gauss-Legendre panels.  Checked to build for alpha from 0.05 to 0.94.
     From alpha = 0.95 up, Phi_alpha is a peak at tau ~ 1 too narrow for
     the panels, and the moment check raises SeriesConvergenceError.
@@ -202,10 +207,10 @@ def subordination_quadrature(alpha, cutoff=1e-14):
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    # (1-a) (a^a tau)^{1/(1-a)} = ln(1/cutoff) + ln(1 + tau), by fixed point
+    # (1-a) (a^a tau)^{1/(1-a)} = ln(1/_TAU_CUTOFF) + ln(1 + tau), by fixed point
     tau_max = 1.0
     for _ in range(8):
-        decay = -math.log(cutoff) + math.log1p(tau_max)
+        decay = -math.log(_TAU_CUTOFF) + math.log1p(tau_max)
         tau_max = (decay / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
     n_panels = max(2, math.ceil(tau_max / _PANEL_WIDTH))
     x_ref, w_ref = np.polynomial.legendre.leggauss(_GL_ORDER)

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .evolution import SchemeConfig, solve
-from .grid import Mesh
+from .grid import Mesh, open_text
 from .kernel import consistency_error, continuous_op_oracle
 from .problems import example1, example2, gaussian_profile, to_evolution_problem
 
@@ -227,17 +227,15 @@ def fit_rates(records, dt_floor=None):
     return rates
 
 
-def run_consistency_study(s_values, h_values, profile="gaussian", window=(-2.0, 2.0),
+def run_consistency_study(s_values, h_values, window=(-2.0, 2.0),
                           domain=(-20.0, 20.0), tol=1e-7, out=None):
-    """Sweep the operator-consistency error over (s, h).
+    """Sweep the operator-consistency error of the Gaussian profile over (s, h).
 
     The continuous operator is evaluated by the quadrature oracle once
     per s at the coarsest-mesh window nodes (exact h-halving keeps those
     nodes on every finer mesh bit-for-bit), then each h reuses the
     cached values.
     """
-    if profile != "gaussian":
-        raise ValueError(f"unknown profile {profile!r}")
     U = gaussian_profile()
     result = StudyResult()
     coarse = _snapped_mesh(max(h_values), *domain)
@@ -260,7 +258,7 @@ def run_consistency_study(s_values, h_values, profile="gaussian", window=(-2.0, 
                 continue
             wall_ms = (time.perf_counter() - t0) * 1e3
             result.records.append(ErrorRecord(
-                problem=profile, s=float(s), alpha=0.0, h=float(h), dt=0.0,
+                problem="gaussian", s=float(s), alpha=0.0, h=float(h), dt=0.0,
                 error=err, wall_ms=wall_ms,
             ))
     result.records.sort(key=lambda r: (r.s, -r.h))
@@ -283,8 +281,7 @@ def emit_csv(result, path_or_buf, include_timings=False):
     records = sorted(result.records, key=lambda r: (r.problem, r.s, -r.h))
     if not records:
         raise ValueError("no records to write")
-    buf = path_or_buf if hasattr(path_or_buf, "write") else open(path_or_buf, "w")
-    try:
+    with open_text(path_or_buf, "w") as buf:
         buf.write("problem,s,alpha,h,dt,error,rate,wall_ms\n")
         prev = None
         for r in records:
@@ -300,19 +297,12 @@ def emit_csv(result, path_or_buf, include_timings=False):
                 f"{r.error:.17g},{rate_txt},{wall:.17g}\n"
             )
             prev = r
-    finally:
-        if buf is not path_or_buf:
-            buf.close()
 
 
 def read_csv(path_or_buf):
     """Parse an emit_csv file back into ErrorRecord objects."""
-    buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf)
-    try:
+    with open_text(path_or_buf) as buf:
         lines = buf.read().strip().split("\n")
-    finally:
-        if buf is not path_or_buf:
-            buf.close()
     if lines[0] != "problem,s,alpha,h,dt,error,rate,wall_ms":
         raise ValueError("unrecognized CSV header")
     records = []

@@ -19,6 +19,9 @@ from scipy.sparse.linalg import LinearOperator, cg
 from fracheat import problems
 from fracheat.semigroup import frac_semigroup_kernel, subordination_quadrature
 from fracheat.evolution import (
+    _CG_RTOL,
+    _NEWTON_MAX_ITER,
+    _NEWTON_TOL,
     SchemeConfig,
     _cg,
     caputo_l1_weights,
@@ -50,7 +53,7 @@ def test_cached_spectrum_bitwise_equals_three_fft():
     assert np.array_equal(toeplitz_matvec(semi, v), _three_fft_matvec(semi, v))
 
 
-def _reference_stage(kernel, shift, rhs, nonlin, x0, cfg):
+def _reference_stage(kernel, shift, rhs, nonlin, x0):
     n = len(rhs)
     cg_total = 0
 
@@ -63,7 +66,7 @@ def _reference_stage(kernel, shift, rhs, nonlin, x0, cfg):
             return shift * v + _three_fft_matvec(kernel, v) + diag * v
 
         op = LinearOperator((n, n), matvec=mv, dtype=float)
-        x, info = cg(op, b, x0=x0, rtol=cfg.linear_solver_tol, atol=0.0, maxiter=10 * n)
+        x, info = cg(op, b, x0=x0, rtol=_CG_RTOL, atol=0.0, maxiter=10 * n)
         assert info == 0
         cg_total += count[0]
         return x
@@ -79,8 +82,8 @@ def _reference_stage(kernel, shift, rhs, nonlin, x0, cfg):
     u = x0.copy()
     g = residual(u)
     res = float(np.max(np.abs(g)))
-    tol = cfg.newton_tol * max(1.0, float(np.max(np.abs(rhs))))
-    for it in range(1, cfg.newton_max_iter + 1):
+    tol = _NEWTON_TOL * max(1.0, float(np.max(np.abs(rhs))))
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         if res <= tol:
             return u, it - 1, cg_total, res
         delta = solve_linear(-nonlin.df(u), -g, np.zeros(n))
@@ -94,7 +97,7 @@ def _reference_stage(kernel, shift, rhs, nonlin, x0, cfg):
             step *= 0.5
         u, g, res = u_try, g_try, res_try
     assert res <= tol
-    return u, cfg.newton_max_iter, cg_total, res
+    return u, _NEWTON_MAX_ITER, cg_total, res
 
 
 def _reference_solve(problem, cfg):
@@ -115,7 +118,7 @@ def _reference_solve(problem, cfg):
         else:
             shift = b[0]
             rhs = b[0] * u - b[n - 1:0:-1] @ diffs[: n - 1] + problem.forcing_values(t)
-        u_new, ni, ci, res = _reference_stage(kernel, shift, rhs, problem.nonlinearity, u, cfg)
+        u_new, ni, ci, res = _reference_stage(kernel, shift, rhs, problem.nonlinearity, u)
         if cfg.stepper == "l1_caputo":
             diffs[n - 1] = u_new - u
         log.append(f"{n},{t:.10g},{ni},{ci},{res:.3e}")

@@ -18,6 +18,7 @@ from fracheat.evolution import (
 )
 from fracheat.grid import GridFunction, Mesh, restrict
 from fracheat.kernel import apply_operator, kernel_weights, toeplitz_matvec
+from fracheat.problems import example2, to_evolution_problem
 from fracheat.special import mittag_leffler
 
 
@@ -188,6 +189,21 @@ class TestL1Caputo:
 
 
 class TestMildReference:
+    def test_solve_evaluates_the_mild_solution(self):
+        prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
+                                    alpha=0.6, t_horizon=0.2)
+        # against zero the error is sup |u(t)|, which is larger at t = 0.1
+        # than at T, so a sup error taken at T alone fails
+        traj = solve(prob, SchemeConfig(stepper="mild_reference", dt=0.1,
+                                        snapshot_times=(0.1,)),
+                     exact=lambda t, x: np.zeros_like(x))
+        assert sorted(traj.snapshots) == [0.1, 0.2]
+        for t, snap in traj.snapshots.items():
+            assert np.array_equal(snap.values, evaluate_mild(prob, t).values)
+        assert traj.final is traj.snapshots[0.2]
+        assert traj.sup_error == traj.snapshots[0.1].sup_norm() > traj.final.sup_norm()
+        assert traj.log == ["1,0.1,0,0,0.0e+00", "2,0.2,0,0,0.0e+00"]
+
     def test_rejects_nonlinearity(self):
         mesh = Mesh(h=0.5, a=-5.0, b=5.0)
         nl = Nonlinearity(f=lambda u: -u ** 3, df=lambda u: -3.0 * u * u)
@@ -234,6 +250,33 @@ class TestTrajectory:
             step, t, ni, ci, res = line.split(",")
             assert int(step) >= 1 and float(t) > 0.0
             assert int(ni) >= 0 and int(ci) >= 0 and float(res) >= 0.0
+
+
+class TestSnapshotTimes:
+    @pytest.mark.parametrize("stepper,alpha,bad", [
+        ("backward_euler", 1.0, 0.5),
+        ("backward_euler", 1.0, -3.0),
+        ("l1_caputo", 0.5, -0.1),
+        ("mild_reference", 0.7, 0.5),
+        ("mild_reference", 0.5, -0.1),
+    ])
+    def test_outside_the_horizon_rejected(self, stepper, alpha, bad):
+        prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
+                                    alpha=alpha, t_horizon=0.2)
+        cfg = SchemeConfig(stepper=stepper, dt=0.1, snapshot_times=(0.1, bad))
+        with pytest.raises(ValueError, match=f"snapshot time {bad:g} "):
+            solve(prob, cfg)
+
+    @pytest.mark.parametrize("stepper,alpha", [
+        ("backward_euler", 1.0), ("l1_caputo", 0.5), ("mild_reference", 0.5),
+    ])
+    def test_both_ends_of_the_horizon_accepted(self, stepper, alpha):
+        prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
+                                    alpha=alpha, t_horizon=0.2)
+        traj = solve(prob, SchemeConfig(stepper=stepper, dt=0.1,
+                                        snapshot_times=(0.0, 0.2)))
+        assert sorted(traj.snapshots) == [0.0, 0.2]
+        assert np.array_equal(traj.snapshots[0.0].values, prob.u0.values)
 
 
 class TestSupNormError:

@@ -130,6 +130,11 @@ class TestEmitCsv:
         with pytest.raises(ValueError):
             emit_csv(StudyResult(), io.StringIO())
 
+    def test_empty_rejected_before_the_file_opens(self, tmp_path):
+        with pytest.raises(ValueError):
+            emit_csv(StudyResult(), tmp_path / "study.csv")
+        assert not (tmp_path / "study.csv").exists()
+
 
 class TestConsistencyStudy:
     def test_small_sweep_decreasing(self):
@@ -141,9 +146,9 @@ class TestConsistencyStudy:
         errs = [r.error for r in res.records]
         assert errs[0] > errs[1] > errs[2]
 
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ValueError):
-            run_consistency_study((0.5,), (0.4,), profile="bump")
+    def test_records_name_the_gaussian(self):
+        res = run_consistency_study((0.5,), (0.4,), window=(-1.0, 1.0), domain=(-10.0, 10.0))
+        assert [r.problem for r in res.records] == ["gaussian"]
 
 
 class TestRunStudy:
@@ -171,6 +176,13 @@ class TestRunStudy:
 class TestCli:
     def test_consistency_missing_args_exit_2(self, capsys):
         assert cli_main(["consistency"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--window=-900,5"], ["--h", "0.1,0.2"]])
+    def test_invalid_study_settings_exit_2(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["study", *flags])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_consistency_stdout_csv(self, capsys):
         rc = cli_main([

@@ -173,6 +173,20 @@ assert subordinated_kernel(0.5, 0.5, 0.5, 0.1, 8).w[0] > 0.0
     assert run.returncode == 0, run.stderr
 
 
+def test_library_import_leaves_mpmath_out():
+    # mpmath is the tests' oracle only, and may be installed: importing the
+    # library must not load it even then.  This process has loaded it
+    # already, so a fresh interpreter checks.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = "import sys, fracheat; assert 'mpmath' not in sys.modules, 'mpmath loaded'"
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+
+
 class TestWright:
     def test_half_alpha_closed_form(self):
         # Phi_{1/2}(x) = exp(-x^2/4)/sqrt(pi)
