@@ -103,8 +103,11 @@ class SchemeConfig:
     """Numerical parameters of a run.
 
     stepper is one of "backward_euler", "l1_caputo", "mild_reference";
-    snapshot_times must lie in [0, t_horizon] and are matched to the
-    nearest step.
+    snapshot_times must lie in [0, t_horizon].  Every stepper keys each
+    snapshot by the requested time it answers: the marching steppers
+    store the state at the nearest step under that time, so two requested
+    times that round to one step get one key each, and mild_reference
+    evaluates at the requested time itself and also stores t_horizon.
     """
 
     stepper: str
@@ -167,11 +170,13 @@ def _cg(apply, b, x0, jx0, rtol, t):
     """Conjugate gradients for apply(x) = b from x0, to |r| < rtol |b|.
 
     Mirrors scipy.sparse.linalg.cg (scipy 1.17, no preconditioner)
-    operation for operation, so the iterates are bitwise scipy's.  jx0 is
-    apply(x0) when the caller already has it, else None.  Returns
-    (x, products): products counts the operator applications, the initial
-    residual's included whether it was computed or reused.  Raises
-    RuntimeError, naming the step to time t, on a direction of
+    operation for operation, so the iterates are bitwise scipy's: its
+    residual norm np.linalg.norm(r) is sqrt(r.r), the rho it computes
+    next, and its updates x += a p, r -= a q go here through one scratch
+    array.  jx0 is apply(x0) when the caller already has it, else None.
+    Returns (x, products): products counts the operator applications, the
+    initial residual's included whether it was computed or reused.
+    Raises RuntimeError, naming the step to time t, on a direction of
     non-positive curvature (the operator is not positive definite) and
     after 10 n iterations without convergence.
     """
@@ -186,12 +191,13 @@ def _cg(apply, b, x0, jx0, rtol, t):
         products = 1
     else:
         r = b.copy()
+    scratch = np.empty_like(r)
     maxiter = 10 * len(b)
     p = rho_prev = None
     for it in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        rho = r.dot(r)
+        if math.sqrt(rho) < atol:
             return x, products
-        rho = np.dot(r, r)
         if it > 0:
             p *= rho / rho_prev
             p += r
@@ -206,8 +212,8 @@ def _cg(apply, b, x0, jx0, rtol, t):
                 "Jacobian shift + A - diag f'(u) is not positive definite"
             )
         a = rho / curvature
-        x += a * p
-        r -= a * q
+        x += np.multiply(a, p, out=scratch)
+        r -= np.multiply(a, q, out=scratch)
         rho_prev = rho
     raise RuntimeError(f"step to t={t:.10g}: CG did not converge in {maxiter} iterations")
 
@@ -231,9 +237,17 @@ def _implicit_stage(kernel, shift, rhs, nonlin, x0, ax0, t):
     definite for dissipative nonlinearities (f' <= 0), so CG applies.
     """
     n = len(rhs)
+    scratch = np.empty(n)
 
     def jacobian(diag):
-        return lambda v: shift * v + toeplitz_matvec(kernel, v) + diag * v
+        # (shift v + A v) + diag v, summed in place into the fresh product
+        def apply(v):
+            out = toeplitz_matvec(kernel, v)
+            out += np.multiply(shift, v, out=scratch)
+            out += np.multiply(diag, v, out=scratch)
+            return out
+
+        return apply
 
     if nonlin is None:
         # adding the zero diagonal can flip the sign of a zero entry, so it
@@ -284,7 +298,8 @@ def solve(problem, cfg, exact=None, window=None):
     exact, if given, has signature exact(t, x) and the running sup-norm
     error against it (over the window, default the whole mesh) is
     tracked across all steps.  Snapshot times outside [0, t_horizon] are
-    rejected; the others are rounded to the grid of steps.  Log lines have
+    rejected; each of the others keys the state at its nearest step (see
+    SchemeConfig).  Log lines have
     the form ``step,t,newton_iters,cg_iters,residual``.
     """
     for t_req in cfg.snapshot_times:
@@ -305,9 +320,9 @@ def solve(problem, cfg, exact=None, window=None):
     sel = mesh.window_slice(*window) if window is not None else slice(None)
     x_win = mesh.nodes[sel]
 
-    snap_steps = {}
+    snap_steps = {}  # step -> the requested times it answers
     for t_req in cfg.snapshot_times:
-        snap_steps[round(t_req / cfg.dt)] = t_req
+        snap_steps.setdefault(round(t_req / cfg.dt), []).append(float(t_req))
 
     traj = Trajectory()
     u = problem.u0.values.copy()
@@ -315,8 +330,8 @@ def solve(problem, cfg, exact=None, window=None):
     sup_err = 0.0 if exact is not None else None
     if exact is not None:
         sup_err = float(np.max(np.abs(u[sel] - exact(0.0, x_win))))
-    if 0 in snap_steps:
-        traj.snapshots[0.0] = GridFunction(mesh, u.copy())
+    for t_req in snap_steps.get(0, ()):
+        traj.snapshots[t_req] = GridFunction(mesh, u.copy())
 
     if cfg.stepper == "l1_caputo":
         b = caputo_l1_weights(problem.alpha, n_steps, cfg.dt)
@@ -337,8 +352,8 @@ def solve(problem, cfg, exact=None, window=None):
         traj.log.append(f"{n},{t:.10g},{ni},{ci},{res:.3e}")
         if exact is not None:
             sup_err = max(sup_err, float(np.max(np.abs(u_new[sel] - exact(t, x_win)))))
-        if n in snap_steps:
-            traj.snapshots[t] = GridFunction(mesh, u_new.copy())
+        for t_req in snap_steps.get(n, ()):
+            traj.snapshots[t_req] = GridFunction(mesh, u_new.copy())
         u = u_new
 
     traj.final = GridFunction(mesh, u)

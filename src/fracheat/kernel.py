@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft, irfft
-from scipy.integrate import quad
+from scipy.fft import next_fast_len
+from scipy.fft._pocketfft.pypocketfft import c2r, r2c
 from scipy.special import gammaln
 
 from .grid import GridFunction, Mesh
@@ -88,7 +88,7 @@ class SymmetricKernel:
         compute a missing entry; they store equal arrays."""
         spec = self._spectra.get(size)
         if spec is None:
-            spec = rfft(np.concatenate((self.w[:0:-1], self.w)), size)
+            spec = _rfft_padded(np.concatenate((self.w[:0:-1], self.w)), size)
             spec.flags.writeable = False
             self._spectra[size] = spec
         return spec
@@ -132,6 +132,14 @@ def kernel_weights(s, h, half_width):
 # Operator application
 # ---------------------------------------------------------------------------
 
+def _rfft_padded(x, size):
+    """rfft(x, size): x zero-padded to length size, transformed by pocketfft
+    without scipy.fft's per-call dispatch."""
+    padded = np.zeros(size)
+    padded[: len(x)] = x
+    return r2c(padded, (0,), True, 0, None, 1)
+
+
 def toeplitz_matvec(kernel, values):
     """Convolve a value array with the symmetric kernel w[|n|].
 
@@ -139,7 +147,11 @@ def toeplitz_matvec(kernel, values):
     is embedded in a circulant of length next_fast_len(2 half_width + m)
     and multiplied by the kernel's cached spectrum at that length, so a
     product costs one forward and one inverse FFT; the result is bitwise
-    that of transforming the kernel on every call.
+    that of transforming the kernel on every call.  The transforms call
+    scipy's pocketfft binding directly, which skips the per-call argument
+    handling of scipy.fft and gives bitwise the public rfft/irfft.  The
+    result is a view into an array made by this call, so a caller may
+    keep it across later products.
     """
     m = len(values)
     n_half = kernel.half_width
@@ -149,7 +161,9 @@ def toeplitz_matvec(kernel, values):
             "truncation would clip inside the domain"
         )
     size = next_fast_len(2 * n_half + m)
-    conv = irfft(rfft(values, size) * kernel.spectrum(size), size)
+    spec = _rfft_padded(values, size)
+    spec *= kernel.spectrum(size)
+    conv = c2r(spec, (0,), size, False, 2, None, 1)  # scaled by 1/size, as irfft
     return conv[n_half : n_half + m]
 
 
@@ -202,6 +216,10 @@ def continuous_op_oracle(U, s, x, tol=1e-8, kinks=()):
         raise ValueError(f"s must lie in (0, 1), got {s}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    # imported on first use: scipy.integrate (with the scipy.optimize it
+    # loads) is the largest part of the library's import time otherwise
+    from scipy.integrate import quad
+
     c_s = frac_laplacian_constant(s)
     ux = float(U(x))
     exponent = 1.0 + 2.0 * s

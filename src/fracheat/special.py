@@ -4,6 +4,13 @@ Provides the two parameter Mittag-Leffler function for real arguments
 and 0 < alpha <= 1, and the Wright probability density on [0, inf),
 both in double precision.
 
+The Mittag-Leffler series reads its log-gamma values gammaln(alpha n + beta)
+from a per-(alpha, beta) table made by one array gammaln call, cached as a
+tuple of floats and rebuilt at twice the length when a series runs past
+its end; the values are bitwise those of scalar gammaln calls.  The
+adaptive quadratures import scipy.integrate on their first call, so
+importing this module does not load it.
+
 All routines are pure functions of their arguments and can be called
 concurrently from any number of threads.
 """
@@ -13,7 +20,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from scipy.integrate import quad
+import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
@@ -86,6 +93,12 @@ def mittag_leffler(alpha, z, beta=1.0):
     return _ml_integral(alpha, beta, -z)
 
 
+@lru_cache(maxsize=64)
+def _ml_gammaln_table(alpha, beta, size):
+    """gammaln(alpha n + beta) for n = 0..size-1, as a tuple of floats."""
+    return tuple(gammaln(alpha * np.arange(size, dtype=float) + beta).tolist())
+
+
 def _ml_series_float(alpha, beta, z):
     if z == 0.0:
         return math.exp(-gammaln(beta))
@@ -93,12 +106,15 @@ def _ml_series_float(alpha, beta, z):
     sgn = 1.0 if z > 0.0 else -1.0
     # index after which terms decrease monotonically
     n_peak = (abs(z) ** (1.0 / alpha) - beta) / alpha + 2.0
+    lgam = _ml_gammaln_table(alpha, beta, 64)
     terms = []
     total = 0.0
     prev_mag = math.inf
     n = 0
     while n < _ML_MAX_TERMS:
-        log_mag = n * log_az - gammaln(alpha * n + beta)
+        if n == len(lgam):
+            lgam = _ml_gammaln_table(alpha, beta, 2 * n)
+        log_mag = n * log_az - lgam[n]
         mag = math.exp(log_mag) if log_mag < 700.0 else math.inf
         if math.isinf(mag):
             raise SeriesConvergenceError(
@@ -126,6 +142,8 @@ def _ml_integral(alpha, beta, x):
         # keeps its relative accuracy near alpha = 1 where the terms cancel
         den = (chi + shift) ** 2 + gap * gap
         return chi ** power * math.exp(-chi ** (1.0 / alpha)) * (chi * s1 + s2) / den
+
+    from scipy.integrate import quad
 
     chi_max = _ML_CHI_MAX ** alpha
     points = (x,) if x < chi_max else None
@@ -200,6 +218,8 @@ def _wright_integral(alpha, x, decay):
         k = ratio ** q * math.sin((1.0 - alpha) * phi) / sa
         e = big_x * (k - k0)
         return k * math.exp(-e) if e < 745.0 else 0.0
+
+    from scipy.integrate import quad
 
     val, err = quad(integrand, 0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=200)
     if not (val > 0.0 and err <= 1e-11 * val):

@@ -8,13 +8,18 @@ transforming the kernel afresh, no product reused) and requires equal
 solver logs and bitwise-equal final states, so an optimisation that
 changes bits fails here and not only in the benchmark's CSV check.
 The subordination quadrature's vectorised sum is held to its plain
-left-to-right loop the same way.
+left-to-right loop the same way, the product's direct pocketfft calls to
+scipy.fft's public rfft/irfft, and the Mittag-Leffler series' gammaln
+table to one scalar gammaln call per term.
 """
+
+import math
 
 import numpy as np
 import pytest
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.sparse.linalg import LinearOperator, cg
+from scipy.special import gammaln
 
 from fracheat import problems
 from fracheat.semigroup import frac_semigroup_kernel, subordination_quadrature
@@ -30,6 +35,7 @@ from fracheat.evolution import (
 )
 from fracheat.grid import Mesh
 from fracheat.kernel import kernel_weights, toeplitz_matvec
+from fracheat.special import _ML_MAX_TERMS, _ml_series_float
 
 
 def _three_fft_matvec(kernel, v):
@@ -209,3 +215,79 @@ def test_quadrature_sum_bitwise_equals_loop(alpha):
         for c in q.weights * q.phi * g:
             total += c
         assert q.integrate(g) == total
+
+
+@pytest.mark.parametrize("m, size", [(481, 1452), (801, 2420), (1921, 5775)])
+def test_product_bitwise_at_generic_radix_lengths(m, size):
+    # lengths with a factor 7 or 11, which pocketfft transforms by its
+    # generic radix pass rather than a specialised one
+    k = kernel_weights(0.6, 0.1, m)
+    assert next_fast_len(2 * k.half_width + m) == size
+    v = np.random.default_rng(m).standard_normal(m)
+    assert np.array_equal(toeplitz_matvec(k, v), _three_fft_matvec(k, v))
+
+
+def test_product_bitwise_on_semigroup_kernel():
+    semi = frac_semigroup_kernel(0.6, 0.5, 0.3, 19)
+    v = np.random.default_rng(19).standard_normal(19)
+    assert np.array_equal(toeplitz_matvec(semi, v), _three_fft_matvec(semi, v))
+
+
+def test_product_is_not_overwritten_by_the_next():
+    # the marching schemes keep A u across steps
+    rng = np.random.default_rng(23)
+    k = kernel_weights(0.4, 0.25, 64)
+    v = rng.standard_normal(64)
+    first = toeplitz_matvec(k, v)
+    kept = first.copy()
+    second = toeplitz_matvec(k, rng.standard_normal(64))
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, v)
+    assert np.array_equal(first, kept)
+
+
+def _ml_series_loop(alpha, beta, z):
+    """The float Mittag-Leffler series with one scalar gammaln per term.
+
+    Returns (value, number of terms)."""
+    if z == 0.0:
+        return math.exp(-gammaln(beta)), 0
+    log_az = math.log(abs(z))
+    sgn = 1.0 if z > 0.0 else -1.0
+    n_peak = (abs(z) ** (1.0 / alpha) - beta) / alpha + 2.0
+    terms = []
+    total = 0.0
+    prev_mag = math.inf
+    for n in range(_ML_MAX_TERMS):
+        log_mag = n * log_az - gammaln(alpha * n + beta)
+        mag = math.exp(log_mag)
+        term = (sgn ** n) * mag
+        terms.append(term)
+        total += term
+        if n > n_peak and mag < prev_mag and mag < 1e-17 * max(abs(total), 1e-300):
+            return math.fsum(terms), n + 1
+        prev_mag = mag
+    raise AssertionError("series did not converge")
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_ml_series_bitwise_equals_scalar_gammaln_loop(alpha):
+    # the arguments -t^alpha of the scalar L1 check, t = 0..2 at dt = 1e-3,
+    # and their mirror images, for both beta the solvers use
+    times = np.arange(2001) * 1e-3
+    for beta in (1.0, alpha):
+        for t in times:
+            for z in (-(t ** alpha), t ** alpha):
+                z = float(z)
+                assert _ml_series_float(alpha, beta, z) == _ml_series_loop(alpha, beta, z)[0]
+
+
+def test_ml_series_bitwise_past_the_first_table():
+    # small alpha with |z|^(1/alpha) near 3 needs more terms than the
+    # 64 of the first gammaln table, so the table is rebuilt longer
+    alpha = 0.1
+    for beta in (1.0, alpha):
+        for z in (-(2.9 ** alpha), 2.9 ** alpha, -(3.0 ** alpha)):
+            want, n_terms = _ml_series_loop(alpha, beta, z)
+            assert n_terms > 64
+            assert _ml_series_float(alpha, beta, z) == want

@@ -278,6 +278,30 @@ class TestSnapshotTimes:
         assert sorted(traj.snapshots) == [0.0, 0.2]
         assert np.array_equal(traj.snapshots[0.0].values, prob.u0.values)
 
+    @pytest.mark.parametrize("stepper,alpha", [
+        ("backward_euler", 1.0), ("l1_caputo", 0.5), ("mild_reference", 0.5),
+    ])
+    def test_keyed_by_requested_time(self, stepper, alpha):
+        # 0.05 and 0.06 fall between the steps 0.04 and 0.08
+        prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
+                                    alpha=alpha, t_horizon=0.2)
+        traj = solve(prob, SchemeConfig(stepper=stepper, dt=0.04,
+                                        snapshot_times=(0.05, 0.06)))
+        assert traj.snapshots[0.05].mesh == prob.mesh
+        extra = [0.2] if stepper == "mild_reference" else []
+        assert sorted(traj.snapshots) == [0.05, 0.06] + extra
+
+    @pytest.mark.parametrize("stepper,alpha", [("backward_euler", 1.0), ("l1_caputo", 0.5)])
+    def test_times_sharing_a_step_keep_their_keys(self, stepper, alpha):
+        prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
+                                    alpha=alpha, t_horizon=0.2)
+        traj = solve(prob, SchemeConfig(stepper=stepper, dt=0.04,
+                                        snapshot_times=(0.04, 0.05, 0.2)))
+        assert sorted(traj.snapshots) == [0.04, 0.05, 0.2]
+        assert np.array_equal(traj.snapshots[0.04].values, traj.snapshots[0.05].values)
+        assert traj.snapshots[0.04] is not traj.snapshots[0.05]
+        assert np.array_equal(traj.snapshots[0.2].values, traj.final.values)
+
 
 class TestSupNormError:
     def test_identical_zero(self):

@@ -173,18 +173,40 @@ assert subordinated_kernel(0.5, 0.5, 0.5, 0.1, 8).w[0] > 0.0
     assert run.returncode == 0, run.stderr
 
 
-def test_library_import_leaves_mpmath_out():
-    # mpmath is the tests' oracle only, and may be installed: importing the
-    # library must not load it even then.  This process has loaded it
-    # already, so a fresh interpreter checks.
+_FOOTPRINT_SCRIPT = """
+import sys
+import numpy as np
+from fracheat import EvolutionProblem, GridFunction, Mesh, SchemeConfig, solve
+from fracheat.kernel import continuous_op_oracle
+mesh = Mesh(h=0.5, a=-5.0, b=5.0)
+prob = EvolutionProblem(s=0.5, alpha=1.0, mesh=mesh, t_horizon=0.05,
+                        u0=GridFunction(mesh, np.exp(-mesh.nodes ** 2)))
+solve(prob, SchemeConfig(stepper="backward_euler", dt=0.01))
+assert {module!r} not in sys.modules, {module!r} + " loaded"
+print(repr(continuous_op_oracle(lambda x: np.exp(-x * x), 0.5, 0.3)))
+assert "scipy.integrate" in sys.modules, "the oracle ran without scipy.integrate"
+"""
+
+
+@pytest.mark.parametrize("module", ["mpmath", "scipy.integrate", "scipy.optimize"])
+def test_library_leaves_module_out(module):
+    # mpmath is the tests' oracle only, and may be installed; scipy.integrate
+    # (which loads scipy.optimize) is imported by the adaptive quadratures
+    # on first use.  Importing the library and marching a few steps must
+    # load none of them.  This process has loaded them all already, so a
+    # fresh interpreter checks; its oracle call then loads scipy.integrate.
+    from fracheat.kernel import continuous_op_oracle
+
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    script = "import sys, fracheat; assert 'mpmath' not in sys.modules, 'mpmath loaded'"
+    script = _FOOTPRINT_SCRIPT.format(module=module)
     run = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert run.returncode == 0, run.stderr
+    want = continuous_op_oracle(lambda x: np.exp(-x * x), 0.5, 0.3)
+    assert float(run.stdout) == want
 
 
 class TestWright:
