@@ -9,8 +9,10 @@ Every flag can also come from a `key = value` config file given with
 --config.  Each line becomes the flag `--key=value` (so `s = 0.4,0.8`,
 `T = 0.5`, `paper-scale = true`), parsed by the subcommand's own parser
 ahead of the command line: explicit flags override the file, and a key
-the subcommand has no flag for is rejected.  Exit code is 0 on success,
-1 if any study cell aborted and 2 on a usage error.
+the subcommand has no flag for is rejected.  The CSV report goes to --out
+(default stdout) unless no cell succeeded; aborted cells and fitted rates
+go to stderr.  Exit code is 0 on success, 1 if any study cell aborted and
+2 on a usage error.
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ def _report(result, out, include_timings=False):
             f"(residual {rate.residual:.2e}, {rate.n_used} points)",
             file=sys.stderr,
         )
-    if out is None and result.records:
-        emit_csv(result, sys.stdout, include_timings=include_timings)
+    if result.records:
+        emit_csv(result, sys.stdout if out is None else out, include_timings=include_timings)
     return 1 if result.failures else 0
 
 
@@ -116,21 +118,22 @@ def main(argv=None):
         args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
     opts = {key: val for key, val in vars(args).items()
             if val is not None and key not in ("command", "config")}
+    out, timings = opts.pop("out", None), opts.pop("timings", False)
 
     if args.command == "study":
         if opts.pop("paper_scale"):
             opts.setdefault("domain", PAPER_SCALE["domain"])
             opts.setdefault("window", PAPER_SCALE["window"])
         try:
-            cfg = StudyConfig(include_timings=opts.pop("timings"), **opts)
+            cfg = StudyConfig(**opts)
         except ValueError as exc:
             parser.error(f"study: {exc}")
-        return _report(run_study(cfg), cfg.out, cfg.include_timings)
+        return _report(run_study(cfg), out, timings)
 
     if "s_values" not in opts or "h_values" not in opts:
         print("consistency requires --s and --h", file=sys.stderr)
         return 2
-    return _report(run_consistency_study(**opts), opts.get("out"))
+    return _report(run_consistency_study(**opts), out)
 
 
 if __name__ == "__main__":

@@ -102,22 +102,26 @@ class EvolutionProblem:
 class SchemeConfig:
     """Numerical parameters of a run.
 
-    stepper is one of "backward_euler", "l1_caputo", "mild_reference";
-    snapshot_times must lie in [0, t_horizon].  Every stepper keys each
-    snapshot by the requested time it answers: the marching steppers
-    store the state at the nearest step under that time, so two requested
-    times that round to one step get one key each, and mild_reference
-    evaluates at the requested time itself and also stores t_horizon.
+    stepper is one of "backward_euler", "l1_caputo" (both need dt > 0)
+    and "mild_reference" (no time step, so no dt); snapshot_times must
+    lie in [0, t_horizon].  Every stepper keys each snapshot by the
+    requested time it answers: the marching steppers store the state at
+    the nearest step under that time, so two requested times that round
+    to one step get one key each, and mild_reference evaluates at the
+    requested time itself and also stores t_horizon.
     """
 
     stepper: str
-    dt: float
+    dt: Optional[float] = None
     snapshot_times: tuple = ()
 
     def __post_init__(self):
         if self.stepper not in ("backward_euler", "l1_caputo", "mild_reference"):
             raise ValueError(f"unknown stepper {self.stepper!r}")
-        if not self.dt > 0.0:
+        if self.stepper == "mild_reference":
+            if self.dt is not None:
+                raise ValueError("mild_reference has no time step; pass no dt")
+        elif self.dt is None or not self.dt > 0.0:
             raise ValueError("dt must be positive")
 
     def n_steps(self, t_horizon):
@@ -293,14 +297,16 @@ def _implicit_stage(kernel, shift, rhs, nonlin, x0, ax0, t):
 
 
 def solve(problem, cfg, exact=None, window=None):
-    """March the problem to t_final and return a Trajectory.
+    """Run the problem to t_horizon and return a Trajectory.
 
-    exact, if given, has signature exact(t, x) and the running sup-norm
-    error against it (over the window, default the whole mesh) is
-    tracked across all steps.  Snapshot times outside [0, t_horizon] are
-    rejected; each of the others keys the state at its nearest step (see
-    SchemeConfig).  Log lines have
-    the form ``step,t,newton_iters,cg_iters,residual``.
+    The marching steppers step from t = 0 by cfg.dt; mild_reference calls
+    evaluate_mild at the sorted distinct snapshot times and t_horizon.
+    exact, if given, has signature exact(t, x); sup_error is the sup-norm
+    error against it (over the window, default the whole mesh) over every
+    state produced.  Snapshot times outside [0, t_horizon] are rejected
+    (keys: see SchemeConfig); final is the t_horizon snapshot if there is
+    one.  Log lines read ``step,t,newton_iters,cg_iters,residual``, and
+    ``step,t,0,0,0.0e+00`` for mild_reference.
     """
     for t_req in cfg.snapshot_times:
         if not 0.0 <= t_req <= problem.t_horizon:
@@ -308,30 +314,47 @@ def solve(problem, cfg, exact=None, window=None):
                 f"snapshot time {t_req:g} lies outside [0, {problem.t_horizon:g}]"
             )
     if cfg.stepper == "mild_reference":
-        return _solve_mild(problem, cfg, exact=exact, window=window)
+        times = sorted({float(t) for t in cfg.snapshot_times} | {float(problem.t_horizon)})
+        states = ((t, evaluate_mild(problem, t).values, (t,), f"{step},{t:.10g},0,0,0.0e+00")
+                  for step, t in enumerate(times, start=1))
+    else:
+        states = _march(problem, cfg)
+
+    mesh = problem.mesh
+    sel = mesh.window_slice(*window) if window is not None else slice(None)
+    x_win = mesh.nodes[sel]
+    traj = Trajectory()
+    for t, u, keys, row in states:
+        if row is not None:
+            traj.log.append(row)
+        if exact is not None:
+            err = float(np.max(np.abs(u[sel] - exact(t, x_win))))
+            traj.sup_error = err if traj.sup_error is None else max(traj.sup_error, err)
+        for t_req in keys:
+            traj.snapshots[t_req] = GridFunction(mesh, u.copy())
+    final = traj.snapshots.get(problem.t_horizon)
+    traj.final = GridFunction(mesh, u) if final is None else final
+    return traj
+
+
+def _march(problem, cfg):
+    """Backward Euler or L1 marching: yield (t, u, snapshot keys, log
+    row) for t = 0 (no log row) and then for each step."""
     if cfg.stepper == "backward_euler" and problem.alpha != 1.0:
         raise ValueError("backward Euler requires alpha = 1")
     if cfg.stepper == "l1_caputo" and not problem.alpha < 1.0:
         raise ValueError("the L1 scheme requires alpha < 1")
-
     mesh = problem.mesh
     n_steps = cfg.n_steps(problem.t_horizon)
     kernel = kernel_weights(problem.s, mesh.h, mesh.n_points)
-    sel = mesh.window_slice(*window) if window is not None else slice(None)
-    x_win = mesh.nodes[sel]
 
     snap_steps = {}  # step -> the requested times it answers
     for t_req in cfg.snapshot_times:
         snap_steps.setdefault(round(t_req / cfg.dt), []).append(float(t_req))
 
-    traj = Trajectory()
     u = problem.u0.values.copy()
     au = None  # A u, carried from each step's residual into the next step
-    sup_err = 0.0 if exact is not None else None
-    if exact is not None:
-        sup_err = float(np.max(np.abs(u[sel] - exact(0.0, x_win))))
-    for t_req in snap_steps.get(0, ()):
-        traj.snapshots[t_req] = GridFunction(mesh, u.copy())
+    yield 0.0, u, snap_steps.get(0, ()), None
 
     if cfg.stepper == "l1_caputo":
         b = caputo_l1_weights(problem.alpha, n_steps, cfg.dt)
@@ -349,16 +372,8 @@ def solve(problem, cfg, exact=None, window=None):
         )
         if cfg.stepper == "l1_caputo":
             diffs[n - 1] = u_new - u
-        traj.log.append(f"{n},{t:.10g},{ni},{ci},{res:.3e}")
-        if exact is not None:
-            sup_err = max(sup_err, float(np.max(np.abs(u_new[sel] - exact(t, x_win)))))
-        for t_req in snap_steps.get(n, ()):
-            traj.snapshots[t_req] = GridFunction(mesh, u_new.copy())
+        yield t, u_new, snap_steps.get(n, ()), f"{n},{t:.10g},{ni},{ci},{res:.3e}"
         u = u_new
-
-    traj.final = GridFunction(mesh, u)
-    traj.sup_error = sup_err
-    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -406,31 +421,6 @@ def evaluate_mild(problem, t):
     if problem.nonlinearity is not None:
         raise ValueError("the mild reference integrator only supports linear problems")
     return GridFunction(problem.mesh, _mild_state(problem, t))
-
-
-def _solve_mild(problem, cfg, exact=None, window=None):
-    """Trajectory built by evaluating the mild solution at snapshot times.
-
-    The sup error is taken over the snapshot times only (the integrator
-    has no marching grid).
-    """
-    if problem.nonlinearity is not None:
-        raise ValueError("the mild reference integrator only supports linear problems")
-    mesh = problem.mesh
-    sel = mesh.window_slice(*window) if window is not None else slice(None)
-    x_win = mesh.nodes[sel]
-    times = sorted(set(cfg.snapshot_times) | {problem.t_horizon})
-    traj = Trajectory()
-    sup_err = None if exact is None else 0.0
-    for step, t in enumerate(times, start=1):
-        vals = _mild_state(problem, float(t))
-        traj.snapshots[float(t)] = GridFunction(mesh, vals)
-        traj.log.append(f"{step},{t:.10g},0,0,0.0e+00")
-        if exact is not None:
-            sup_err = max(sup_err, float(np.max(np.abs(vals[sel] - exact(t, x_win)))))
-    traj.final = traj.snapshots[times[-1]]
-    traj.sup_error = sup_err
-    return traj
 
 
 # ---------------------------------------------------------------------------

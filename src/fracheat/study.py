@@ -1,6 +1,9 @@
 """Convergence-study harness: h-sweeps of the manufactured examples,
 consistency sweeps of the discrete operator against the quadrature
 oracle, rate fitting, and deterministic CSV reports.
+
+Both studies run their (s, h) cells through one sweep and return a
+StudyResult; writing the report is the caller's job (emit_csv).
 """
 
 from __future__ import annotations
@@ -9,7 +12,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from functools import partial
 
 import numpy as np
 
@@ -55,9 +58,7 @@ class StudyConfig:
     window: tuple = DESK_SCALE["window"]
     t_horizon: float = 1.0
     stepper: str = "backward_euler"
-    out: Optional[str] = None
     workers: int = 1
-    include_timings: bool = False
 
     def __post_init__(self):
         if not all(x > y for x, y in zip(self.h_values, self.h_values[1:])):
@@ -124,9 +125,7 @@ def _problem_factory(name):
 
 
 def _run_cell(cfg, s, h):
-    factory = _problem_factory(cfg.problem)
-    manu = factory(s)
-    t0 = time.perf_counter()
+    manu = _problem_factory(cfg.problem)(s)
     if manu.support is not None:
         # the solution vanishes on and beyond the support boundary, so the
         # boundary nodes belong to the (zero) exterior, not the unknowns
@@ -136,48 +135,50 @@ def _run_cell(cfg, s, h):
         mesh = _snapped_mesh(h, *cfg.domain)
     window = (max(cfg.window[0], mesh.a), min(cfg.window[1], mesh.b))
     problem = to_evolution_problem(manu, mesh, alpha=cfg.alpha, t_horizon=cfg.t_horizon)
-    scheme = SchemeConfig(stepper=cfg.stepper, dt=cfg.dt)
-    traj = solve(problem, scheme, exact=manu.exact, window=window)
-    wall_ms = (time.perf_counter() - t0) * 1e3
+    # mild_reference has no time step: it gets none, and its rows carry dt = 0
+    dt = None if cfg.stepper == "mild_reference" else cfg.dt
+    traj = solve(problem, SchemeConfig(stepper=cfg.stepper, dt=dt),
+                 exact=manu.exact, window=window)
     return ErrorRecord(
-        problem=cfg.problem, s=s, alpha=cfg.alpha, h=h, dt=cfg.dt,
-        error=traj.sup_error, wall_ms=wall_ms,
+        problem=cfg.problem, s=s, alpha=cfg.alpha, h=h, dt=dt or 0.0, error=traj.sup_error,
+    )
+
+
+def _sweep(cells, measure, workers=1):
+    """StudyResult of measure(s, h) -> ErrorRecord over the cells, each
+    record stamped with its cell's wall time.  A cell that raises becomes
+    the failure (s, h, "Type: message") and the sweep goes on.  Cells run
+    on a thread pool when workers > 1; records come back in canonical
+    order (s ascending, h descending), failures in cell order.
+    """
+    def attempt(cell):
+        s, h = cell
+        t0 = time.perf_counter()
+        try:
+            rec = measure(s, h)
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            return None, (s, h, f"{type(exc).__name__}: {exc}")
+        return replace(rec, wall_ms=(time.perf_counter() - t0) * 1e3), None
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(attempt, cells))
+    else:
+        outcomes = list(map(attempt, cells))
+    return StudyResult(
+        records=sorted((rec for rec, _ in outcomes if rec is not None), key=lambda r: (r.s, -r.h)),
+        failures=[failure for _, failure in outcomes if failure is not None],
     )
 
 
 def run_study(cfg):
-    """Run the h-sweep of a manufactured problem and fit rates per s.
-
-    Cells (one per (s, h)) run independently, concurrently when
-    cfg.workers > 1; a failing cell is logged into result.failures and
-    the sweep continues.  Records come back in canonical order
-    (s ascending, h descending) regardless of scheduling.
+    """Run the h-sweep of a manufactured problem, one isolated cell per
+    (s, h) on cfg.workers threads, and fit rates per s above the dt floor.
+    mild_reference cells run with no time step; their records carry dt = 0.
     """
     cells = [(s, h) for s in sorted(cfg.s_values) for h in cfg.h_values]
-    result = StudyResult()
-
-    def attempt(cell):
-        s, h = cell
-        try:
-            return _run_cell(cfg, s, h), None
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            return None, (s, h, f"{type(exc).__name__}: {exc}")
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(attempt, cells))
-    else:
-        outcomes = [attempt(c) for c in cells]
-
-    for rec, failure in outcomes:
-        if failure is not None:
-            result.failures.append(failure)
-        else:
-            result.records.append(rec)
-    result.records.sort(key=lambda r: (r.s, -r.h))
+    result = _sweep(cells, partial(_run_cell, cfg), cfg.workers)
     result.rates = fit_rates(result.records, dt_floor=_dt_floor_probe(cfg, result.records))
-    if cfg.out is not None:
-        emit_csv(result, cfg.out, include_timings=cfg.include_timings)
     return result
 
 
@@ -228,43 +229,40 @@ def fit_rates(records, dt_floor=None):
 
 
 def run_consistency_study(s_values, h_values, window=(-2.0, 2.0),
-                          domain=(-20.0, 20.0), tol=1e-7, out=None):
+                          domain=(-20.0, 20.0), tol=1e-7):
     """Sweep the operator-consistency error of the Gaussian profile over (s, h).
 
-    The continuous operator is evaluated by the quadrature oracle once
-    per s at the coarsest-mesh window nodes (exact h-halving keeps those
-    nodes on every finer mesh bit-for-bit), then each h reuses the
-    cached values.
+    The quadrature oracle runs once per s before the sweep, at the
+    coarsest-mesh window nodes (exact h-halving keeps them on every finer
+    mesh bit-for-bit), so cell wall times exclude it.  If it fails for an
+    s, every cell of that s fails with its error; the other s still run.
     """
     U = gaussian_profile()
-    result = StudyResult()
     coarse = _snapped_mesh(max(h_values), *domain)
     sl = coarse.window_slice(*window)
     points = coarse.nodes[sl.start:sl.stop]
+    oracles = {}  # s -> {x: oracle value}, or the exception the oracle raised
     for s in sorted(s_values):
-        oracle_at = {}
-        for x in points:
-            oracle_at[float(x)] = continuous_op_oracle(U, float(s), float(x), tol=tol)
-        for h in sorted(h_values, reverse=True):
-            t0 = time.perf_counter()
-            mesh = _snapped_mesh(h, *domain)
-            try:
-                err = consistency_error(
-                    U, float(s), mesh, exact_op=lambda x: oracle_at[float(x)],
-                    points=points,
-                )
-            except Exception as exc:  # noqa: BLE001
-                result.failures.append((s, h, f"{type(exc).__name__}: {exc}"))
-                continue
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            result.records.append(ErrorRecord(
-                problem="gaussian", s=float(s), alpha=0.0, h=float(h), dt=0.0,
-                error=err, wall_ms=wall_ms,
-            ))
-    result.records.sort(key=lambda r: (r.s, -r.h))
+        try:
+            oracles[s] = {float(x): continuous_op_oracle(U, float(s), float(x), tol=tol)
+                          for x in points}
+        except Exception as exc:  # noqa: BLE001 - reported by every cell of this s
+            oracles[s] = exc
+
+    def measure(s, h):
+        oracle_at = oracles[s]
+        if isinstance(oracle_at, Exception):
+            raise oracle_at
+        err = consistency_error(
+            U, float(s), _snapped_mesh(h, *domain),
+            exact_op=lambda x: oracle_at[float(x)], points=points,
+        )
+        return ErrorRecord(problem="gaussian", s=float(s), alpha=0.0, h=float(h), dt=0.0,
+                           error=err)
+
+    cells = [(s, h) for s in sorted(s_values) for h in sorted(h_values, reverse=True)]
+    result = _sweep(cells, measure)
     result.rates = fit_rates(result.records)
-    if out is not None:
-        emit_csv(result, out)
     return result
 
 

@@ -194,8 +194,7 @@ class TestMildReference:
                                     alpha=0.6, t_horizon=0.2)
         # against zero the error is sup |u(t)|, which is larger at t = 0.1
         # than at T, so a sup error taken at T alone fails
-        traj = solve(prob, SchemeConfig(stepper="mild_reference", dt=0.1,
-                                        snapshot_times=(0.1,)),
+        traj = solve(prob, SchemeConfig(stepper="mild_reference", snapshot_times=(0.1,)),
                      exact=lambda t, x: np.zeros_like(x))
         assert sorted(traj.snapshots) == [0.1, 0.2]
         for t, snap in traj.snapshots.items():
@@ -203,6 +202,13 @@ class TestMildReference:
         assert traj.final is traj.snapshots[0.2]
         assert traj.sup_error == traj.snapshots[0.1].sup_norm() > traj.final.sup_norm()
         assert traj.log == ["1,0.1,0,0,0.0e+00", "2,0.2,0,0,0.0e+00"]
+
+    @pytest.mark.parametrize("stepper,dt", [
+        ("mild_reference", 0.1), ("backward_euler", None), ("l1_caputo", 0.0),
+    ])
+    def test_dt_only_for_the_marching_steppers(self, stepper, dt):
+        with pytest.raises(ValueError):
+            SchemeConfig(stepper=stepper, dt=dt)
 
     def test_rejects_nonlinearity(self):
         mesh = Mesh(h=0.5, a=-5.0, b=5.0)
@@ -252,6 +258,11 @@ class TestTrajectory:
             assert int(ni) >= 0 and int(ci) >= 0 and float(res) >= 0.0
 
 
+def _dt(stepper, dt):
+    # mild_reference has no time step and takes none
+    return None if stepper == "mild_reference" else dt
+
+
 class TestSnapshotTimes:
     @pytest.mark.parametrize("stepper,alpha,bad", [
         ("backward_euler", 1.0, 0.5),
@@ -263,7 +274,7 @@ class TestSnapshotTimes:
     def test_outside_the_horizon_rejected(self, stepper, alpha, bad):
         prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
                                     alpha=alpha, t_horizon=0.2)
-        cfg = SchemeConfig(stepper=stepper, dt=0.1, snapshot_times=(0.1, bad))
+        cfg = SchemeConfig(stepper=stepper, dt=_dt(stepper, 0.1), snapshot_times=(0.1, bad))
         with pytest.raises(ValueError, match=f"snapshot time {bad:g} "):
             solve(prob, cfg)
 
@@ -273,7 +284,7 @@ class TestSnapshotTimes:
     def test_both_ends_of_the_horizon_accepted(self, stepper, alpha):
         prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
                                     alpha=alpha, t_horizon=0.2)
-        traj = solve(prob, SchemeConfig(stepper=stepper, dt=0.1,
+        traj = solve(prob, SchemeConfig(stepper=stepper, dt=_dt(stepper, 0.1),
                                         snapshot_times=(0.0, 0.2)))
         assert sorted(traj.snapshots) == [0.0, 0.2]
         assert np.array_equal(traj.snapshots[0.0].values, prob.u0.values)
@@ -285,7 +296,7 @@ class TestSnapshotTimes:
         # 0.05 and 0.06 fall between the steps 0.04 and 0.08
         prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
                                     alpha=alpha, t_horizon=0.2)
-        traj = solve(prob, SchemeConfig(stepper=stepper, dt=0.04,
+        traj = solve(prob, SchemeConfig(stepper=stepper, dt=_dt(stepper, 0.04),
                                         snapshot_times=(0.05, 0.06)))
         assert traj.snapshots[0.05].mesh == prob.mesh
         extra = [0.2] if stepper == "mild_reference" else []

@@ -150,6 +150,14 @@ class TestConsistencyStudy:
         res = run_consistency_study((0.5,), (0.4,), window=(-1.0, 1.0), domain=(-10.0, 10.0))
         assert [r.problem for r in res.records] == ["gaussian"]
 
+    def test_oracle_failure_fails_only_its_cells(self):
+        # at tol 1e-12 the oracle meets its budget for s = 0.3 but not for 0.6
+        res = run_consistency_study((0.3, 0.6), (0.4, 0.2), window=(-1.0, 1.0),
+                                    domain=(-15.0, 15.0), tol=1e-12)
+        assert [(r.s, r.h) for r in res.records] == [(0.3, 0.4), (0.3, 0.2)]
+        assert [(s, h) for s, h, _ in res.failures] == [(0.6, 0.4), (0.6, 0.2)]
+        assert all(msg.startswith("OracleConvergenceError: ") for _, _, msg in res.failures)
+
 
 class TestRunStudy:
     def test_tiny_example2_sweep(self):
@@ -171,6 +179,21 @@ class TestRunStudy:
         res = run_study(cfg)
         assert len(res.failures) == 3
         assert res.records == []
+
+    def test_workers_do_not_change_the_report(self):
+        reports = []
+        for workers in (1, 2):
+            cfg = StudyConfig(
+                problem="example2", s_values=(0.5, 0.7), h_values=(0.2, 0.1),
+                dt=0.02, t_horizon=0.1, domain=(-1.0, 1.0), window=(-0.5, 0.5),
+                workers=workers,
+            )
+            res = run_study(cfg)
+            buf = io.StringIO()
+            emit_csv(res, buf)
+            reports.append((buf.getvalue(), res.failures))
+        assert len(reports[0][0].splitlines()) == 5
+        assert reports[1] == reports[0]
 
 
 class TestCli:
@@ -244,6 +267,40 @@ class TestCli:
             "--domain=-20,20", "--window=-5,5",
         ])
         assert rc == 1
+
+    def test_all_cells_failing_write_no_report(self, tmp_path, capsys):
+        out_path = tmp_path / "study.csv"
+        rc = cli_main([
+            "study", "--problem", "example1", "--s", "0.5",
+            "--h", "1.0,0.5", "--dt", "0.05", "--T", "0.1",
+            "--domain=-20,20", "--window=-5,5", "--out", str(out_path),
+        ])
+        assert rc == 1
+        assert not out_path.exists()
+        err = capsys.readouterr().err
+        assert "cell (s=0.5, h=1.0) aborted: ValueError" in err
+        assert "cell (s=0.5, h=0.5) aborted: ValueError" in err
+
+    def test_consistency_oracle_failure_exit_1(self, capsys):
+        rc = cli_main([
+            "consistency", "--s", "0.3,0.6", "--h", "0.4,0.2",
+            "--window=-1,1", "--domain=-15,15", "--tol", "1e-12",
+        ])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert {r.s for r in read_csv(io.StringIO(out))} == {0.3}
+        assert err.count("aborted: OracleConvergenceError") == 2
+
+    def test_mild_reference_rows_carry_dt_zero(self, tmp_path, capsys):
+        out_path = tmp_path / "study.csv"
+        rc = cli_main([
+            "study", "--problem", "example2", "--s", "0.5", "--h", "0.2,0.1",
+            "--dt", "0.05", "--T", "0.1", "--domain=-1,1", "--window=-0.5,0.5",
+            "--stepper", "mild_reference", "--out", str(out_path),
+        ])
+        assert rc == 0
+        recs = read_csv(str(out_path))
+        assert len(recs) == 2 and all(r.dt == 0.0 for r in recs)
 
 
 def test_demos_import_only_existing_names():
