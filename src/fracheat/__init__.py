@@ -8,11 +8,9 @@ harness with manufactured solutions.
 
 from .grid import GridFunction, Mesh, restrict
 from .kernel import (
-    OracleConvergenceError,
     SymmetricKernel,
     apply_operator,
     consistency_error,
-    continuous_op_oracle,
     frac_laplacian_constant,
     kernel_weights,
     toeplitz_matvec,
@@ -46,6 +44,7 @@ from .problems import (
     ManufacturedSolution,
     example1,
     example2,
+    gaussian_frac_laplacian,
     gaussian_profile,
     getoor_constant,
     semilinear_variant,

@@ -5,6 +5,10 @@ Two subcommands:
     fracheat study --problem example1 --s 0.4,0.8 --out study.csv ...
     fracheat consistency --s 0.3,0.6 --h 0.4,0.2,0.1 ...
 
+`study` sweeps a manufactured example over (s, h); `consistency` sweeps
+the gap between the discrete operator and the closed-form fractional
+Laplacian of a Gaussian.
+
 Every flag can also come from a `key = value` config file given with
 --config.  Each line becomes the flag `--key=value` (so `s = 0.4,0.8`,
 `T = 0.5`, `paper-scale = true`), parsed by the subcommand's own parser
@@ -12,7 +16,8 @@ ahead of the command line: explicit flags override the file, and a key
 the subcommand has no flag for is rejected.  The CSV report goes to --out
 (default stdout) unless no cell succeeded; aborted cells and fitted rates
 go to stderr.  Exit code is 0 on success, 1 if any study cell aborted and
-2 on a usage error.
+2 on a usage error, which includes settings the study refuses (repeated s
+or h values, a window outside the domain).
 """
 
 from __future__ import annotations
@@ -84,13 +89,13 @@ def _build_parser():
                     metavar="BOOL",
                     help="record real wall times in the CSV (breaks byte-determinism)")
 
-    co = sub.add_parser("consistency", help="operator-consistency sweep against the oracle")
+    co = sub.add_parser("consistency",
+                        help="operator-consistency sweep against the Gaussian's closed form")
     co.add_argument("--config", help="key = value config file (flags override it)")
     co.add_argument("--s", type=_parse_floats, dest="s_values", metavar="LIST")
     co.add_argument("--h", type=_parse_floats, dest="h_values", metavar="LIST")
     co.add_argument("--domain", type=_parse_pair, metavar="A,B")
     co.add_argument("--window", type=_parse_pair, metavar="C,D")
-    co.add_argument("--tol", type=float, help="oracle tolerance")
     co.add_argument("--out", help="CSV output path (default: stdout)")
     return parser
 
@@ -133,7 +138,11 @@ def main(argv=None):
     if "s_values" not in opts or "h_values" not in opts:
         print("consistency requires --s and --h", file=sys.stderr)
         return 2
-    return _report(run_consistency_study(**opts), out)
+    try:
+        result = run_consistency_study(**opts)
+    except ValueError as exc:
+        parser.error(f"consistency: {exc}")
+    return _report(result, out)
 
 
 if __name__ == "__main__":

@@ -3,40 +3,33 @@
 Builds the explicit convolution weights of the operator (fractional
 power of the 3-point second-difference Laplacian), applies the operator
 as a symmetric Toeplitz convolution by FFT circulant embedding, and
-provides a singular-integral quadrature oracle for the continuous
-fractional Laplacian so the discrete/continuous consistency error can be
-measured.  Independent routes to the same weights and products (the
-alternating-sign closed form, the O(N^2) direct sum) live in the tests
-as oracles.
+measures the discrete/continuous consistency error against a closed form
+of the continuous fractional Laplacian.  Independent routes to the same
+weights and products (the alternating-sign closed form, the O(N^2)
+direct sum) and a singular-integral quadrature of the continuous
+operator live in the tests as oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.fft import next_fast_len
 from scipy.fft._pocketfft.pypocketfft import c2r, r2c
 from scipy.special import gammaln
 
-from .grid import GridFunction, Mesh
+from .grid import GridFunction, restrict
 
 __all__ = [
     "SymmetricKernel",
-    "OracleConvergenceError",
     "kernel_weights",
     "apply_operator",
     "toeplitz_matvec",
     "frac_laplacian_constant",
-    "continuous_op_oracle",
     "consistency_error",
 ]
-
-
-class OracleConvergenceError(RuntimeError):
-    """The quadrature oracle could not meet the requested tolerance."""
 
 
 def frac_laplacian_constant(s):
@@ -54,10 +47,9 @@ def frac_laplacian_constant(s):
 class SymmetricKernel:
     """Symmetric convolution kernel w[|n|] of a lattice operator.
 
-    w[n] holds the entry at offset n (= entry at -n) for n = 0..half_width;
-    t is the time of a semigroup kernel and None for the fractional
-    Laplacian itself.  The Laplacian's weights have w[0] > 0, w[n] < 0
-    for n >= 1, a vanishing whole-lattice row sum and
+    w[n] holds the entry at offset n (= entry at -n) for n = 0..half_width
+    on a mesh of size h.  The fractional Laplacian's weights have w[0] > 0,
+    w[n] < 0 for n >= 1, a vanishing whole-lattice row sum and
     |w[n]| ~ frac_laplacian_constant(s) / (h^{2s} n^{1+2s}); a semigroup
     kernel is non-negative up to quadrature noise with mass() at most 1.
     The weights are made read-only on construction,
@@ -65,10 +57,8 @@ class SymmetricKernel:
     per FFT size and an in-place edit would leave that spectrum stale.
     """
 
-    s: float
     h: float
     w: np.ndarray
-    t: Optional[float] = None
     _spectra: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -125,7 +115,7 @@ def kernel_weights(s, h, half_width):
     steps = np.log(n[:-1] - s) - np.log(n[:-1] + 1.0 + s) if half_width > 1 else np.empty(0)
     log_ratio = seed + np.concatenate(([0.0], np.cumsum(steps)))
     w[1:] = -pref * np.exp(log_ratio) / h2s
-    return SymmetricKernel(s=float(s), h=float(h), w=w)
+    return SymmetricKernel(h=float(h), w=w)
 
 
 # ---------------------------------------------------------------------------
@@ -180,130 +170,16 @@ def apply_operator(kernel, u):
     return GridFunction(u.mesh, toeplitz_matvec(kernel, u.values))
 
 
-# ---------------------------------------------------------------------------
-# Continuous-operator quadrature oracle
-# ---------------------------------------------------------------------------
-
-_TAIL_MAX = 1.0e9
-
-
-def continuous_op_oracle(U, s, x, tol=1e-8, kinks=()):
-    """Evaluate the continuous fractional Laplacian of U at x by quadrature.
-
-    Uses the symmetrized form
-        C_s * integral_0^inf (2U(x) - U(x+r) - U(x-r)) / r^{1+2s} dr,
-    which removes the principal value.  The inner singular part is
-    handled by a Taylor closed form on (0, r_c] (the second difference
-    there is pure cancellation noise in floats) and the substitution
-    r = t^2 on [r_c, 1]; the far field is handled by
-    an analytic power-law tail for the 2U(x) term plus dyadic-block
-    quadrature of the remainder until blocks fall below the tolerance.
-
-    Parameters
-    ----------
-    U : callable
-        Profile, twice continuously differentiable near x, bounded, with
-        integrable tails.
-    kinks : iterable of float, optional
-        Locations where U is not smooth (quadrature breakpoints).
-
-    Raises
-    ------
-    OracleConvergenceError
-        If the accumulated error estimate exceeds tol.
-    """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    # imported on first use: scipy.integrate (with the scipy.optimize it
-    # loads) is the largest part of the library's import time otherwise
-    from scipy.integrate import quad
-
-    c_s = frac_laplacian_constant(s)
-    ux = float(U(x))
-    exponent = 1.0 + 2.0 * s
-
-    def sym_diff(r):
-        return 2.0 * ux - float(U(x + r)) - float(U(x - r))
-
-    def g(r):
-        return sym_diff(r) / r ** exponent
-
-    r_kinks = sorted({abs(float(k) - x) for k in kinks} | {abs(float(k) + x) for k in kinks})
-    err_budget = tol / c_s
-
-    # innermost piece (0, r_c]: the integrand is U''(x) r^{1-2s} + O(r^{3-2s})
-    # and the curvature is read off the second difference at r_c itself
-    # (evaluating it closer to 0 only measures rounding noise)
-    r_c = 1e-4
-    inner = sym_diff(r_c) * r_c ** (-2.0 * s) / (2.0 - 2.0 * s)
-    e_inner = abs(inner) * r_c * r_c + 4e-16 * r_c ** (-2.0 * s)
-
-    # inner leg r in [r_c, 1]: substitute r = t^2 to soften the endpoint
-    inner_pts = [math.sqrt(r) for r in r_kinks if r_c < r < 1.0]
-    leg, e_leg = quad(
-        lambda t: g(t * t) * 2.0 * t, math.sqrt(r_c), 1.0,
-        points=inner_pts or None, limit=300, epsabs=err_budget / 8.0, epsrel=1e-12,
-    )
-    inner += leg
-    e_inner += e_leg
-
-    # middle leg r in [1, R0]
-    r0 = max(50.0, abs(x) + 10.0, *(r + 1.0 for r in r_kinks)) if r_kinks else max(50.0, abs(x) + 10.0)
-    mid_pts = [r for r in r_kinks if 1.0 < r < r0]
-    middle, e_middle = quad(
-        g, 1.0, r0, points=mid_pts or None, limit=500,
-        epsabs=err_budget / 8.0, epsrel=1e-12,
-    )
-
-    # far field: analytic tail of the 2U(x) term ...
-    tail = 2.0 * ux * r0 ** (-2.0 * s) / (2.0 * s)
-    e_tail = 0.0
-    # ... minus dyadic blocks of integral (U(x+r)+U(x-r)) r^{-1-2s} dr
-    a = r0
-    quiet = 0
-    while a < _TAIL_MAX:
-        b = 2.0 * a
-        blk, e_blk = quad(
-            lambda r: (float(U(x + r)) + float(U(x - r))) / r ** exponent,
-            a, b, limit=max(60, int((b - a) / 3.0)),
-            epsabs=err_budget / 16.0, epsrel=1e-12,
-        )
-        tail -= blk
-        e_tail += e_blk
-        if abs(blk) < err_budget / 16.0:
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-        a = b
-    else:
-        raise OracleConvergenceError(
-            f"far-field blocks did not fall below tolerance by r={_TAIL_MAX}"
-        )
-
-    err = (e_inner + e_middle + e_tail + abs(blk)) * c_s
-    if err > tol:
-        raise OracleConvergenceError(
-            f"quadrature error estimate {err:.3g} exceeds tol {tol:.3g}"
-        )
-    return c_s * (inner + middle + tail)
-
-
-def consistency_error(U, s, mesh, points, exact_op=None, tol=1e-7):
+def consistency_error(U, s, mesh, points, exact_op):
     """Sup-norm gap between the discrete operator of the sampled profile
     and the continuous operator at the measurement points.
 
     The discrete side applies the lattice kernel to the restriction of U
-    (zero beyond the mesh); the continuous side uses exact_op(x) when a
-    closed form is available, else the quadrature oracle.  The points
-    must be mesh nodes; fixing them lets studies across nested meshes
-    reuse cached oracle values.
+    (zero beyond the mesh); the continuous side is the closed form
+    exact_op(x) of (-Laplacian)^s U.  The points must be mesh nodes, so
+    that a study across nested meshes can measure every mesh at the same
+    points.
     """
-    from .grid import restrict
-
     kern = kernel_weights(s, mesh.h, mesh.n_points)
     disc = apply_operator(kern, restrict(U, mesh))
     xs = mesh.nodes
@@ -313,6 +189,5 @@ def consistency_error(U, s, mesh, points, exact_op=None, tol=1e-7):
         if not (0 <= j < len(xs)) or abs(xs[j] - p) > 1e-9 * mesh.h:
             raise ValueError(f"measurement point {p} is not a node of the mesh")
         xj = xs[j]
-        cont = exact_op(xj) if exact_op is not None else continuous_op_oracle(U, s, xj, tol=tol)
-        worst = max(worst, abs(disc.values[j] - cont))
+        worst = max(worst, abs(disc.values[j] - exact_op(xj)))
     return worst

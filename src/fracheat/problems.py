@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from scipy.special import hyp1f1
 
 from .evolution import EvolutionProblem, Nonlinearity
 from .grid import GridFunction
@@ -27,6 +28,7 @@ __all__ = [
     "to_evolution_problem",
     "semilinear_variant",
     "gaussian_profile",
+    "gaussian_frac_laplacian",
 ]
 
 
@@ -126,6 +128,22 @@ def gaussian_profile():
         return math.exp(-x * x) if np.isscalar(x) else np.exp(-x * x)
 
     return U
+
+
+def gaussian_frac_laplacian(s):
+    """(-Laplacian)^s of gaussian_profile in closed form, as a vectorized
+    callable x -> values:
+        (-Laplacian)^s e^{-x^2} = 4^s Gamma(1/2 + s) / sqrt(pi) 1F1(1/2 + s; 1/2; -x^2).
+    """
+    s = float(s)
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"s must lie in (0, 1), got {s}")
+    c = 4.0 ** s * math.gamma(0.5 + s) / math.sqrt(math.pi)
+
+    def op(x):
+        return c * hyp1f1(0.5 + s, 0.5, -x * x)
+
+    return op
 
 
 def to_evolution_problem(m, mesh, alpha=1.0, t_horizon=1.0):

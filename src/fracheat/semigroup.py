@@ -69,7 +69,7 @@ def frac_semigroup_kernel(s, h, t, half_width):
     if t == 0.0:
         w = np.zeros(half_width + 1)
         w[0] = 1.0
-        return SymmetricKernel(s=s, h=h, t=0.0, w=w)
+        return SymmetricKernel(h=h, w=w)
     return _spectral_kernel(s, h, t, half_width, np.ones(1),
                             np.array([t / h ** (2.0 * s)]), _SEMIGROUP_TOL)
 
@@ -151,7 +151,7 @@ def _spectral_kernel(s, h, t, half_width, factors, rates, tol):
         g, m = finer, 2 * m
         w = coefficients(g, m)
         if np.max(np.abs(w - prev)) <= tol:
-            return SymmetricKernel(s=s, h=h, t=t, w=w)
+            return SymmetricKernel(h=h, w=w)
         prev = w
     raise SeriesConvergenceError(
         f"spectral kernel quadrature did not settle for s={s}, h={h}, t={t}"

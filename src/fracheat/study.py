@@ -1,6 +1,7 @@
 """Convergence-study harness: h-sweeps of the manufactured examples,
-consistency sweeps of the discrete operator against the quadrature
-oracle, rate fitting, and deterministic CSV reports.
+consistency sweeps of the discrete operator against the closed form of
+the Gaussian's fractional Laplacian, rate fitting, and deterministic CSV
+reports.
 
 Both studies run their (s, h) cells through one sweep and return a
 StudyResult; writing the report is the caller's job (emit_csv).
@@ -18,8 +19,14 @@ import numpy as np
 
 from .evolution import SchemeConfig, solve
 from .grid import Mesh, open_text
-from .kernel import consistency_error, continuous_op_oracle
-from .problems import example1, example2, gaussian_profile, to_evolution_problem
+from .kernel import consistency_error
+from .problems import (
+    example1,
+    example2,
+    gaussian_frac_laplacian,
+    gaussian_profile,
+    to_evolution_problem,
+)
 
 __all__ = [
     "StudyConfig",
@@ -45,6 +52,17 @@ PAPER_SCALE = {"domain": (-1000.0, 1000.0), "window": (-100.0, 100.0)}
 _DEFAULT_H = (6.6667, 3.3333, 1.6667, 0.8333, 0.4167)
 
 
+def _check_sweep(s_values, h_values, domain, window):
+    """Refuse a sweep whose report would repeat a cell or whose window
+    reaches beyond the domain (and so would be measured only in part)."""
+    if len(set(s_values)) != len(s_values):
+        raise ValueError("s_values must not repeat")
+    if len(set(h_values)) != len(h_values):
+        raise ValueError("h_values must not repeat")
+    if not (domain[0] <= window[0] < window[1] <= domain[1]):
+        raise ValueError("window must be contained in the domain")
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Full description of one h-sweep study."""
@@ -63,8 +81,7 @@ class StudyConfig:
     def __post_init__(self):
         if not all(x > y for x, y in zip(self.h_values, self.h_values[1:])):
             raise ValueError("h_values must be strictly decreasing")
-        if not (self.domain[0] <= self.window[0] < self.window[1] <= self.domain[1]):
-            raise ValueError("window must be contained in the domain")
+        _check_sweep(self.s_values, self.h_values, self.domain, self.window)
         if not self.t_horizon > 0.0:
             raise ValueError("t_horizon must be positive")
         if self.workers < 1:
@@ -228,35 +245,24 @@ def fit_rates(records, dt_floor=None):
     return rates
 
 
-def run_consistency_study(s_values, h_values, window=(-2.0, 2.0),
-                          domain=(-20.0, 20.0), tol=1e-7):
-    """Sweep the operator-consistency error of the Gaussian profile over (s, h).
+def run_consistency_study(s_values, h_values, window=(-2.0, 2.0), domain=(-20.0, 20.0)):
+    """Sweep the operator-consistency error of the Gaussian profile over (s, h)
+    against its closed-form fractional Laplacian (gaussian_frac_laplacian).
 
-    The quadrature oracle runs once per s before the sweep, at the
-    coarsest-mesh window nodes (exact h-halving keeps them on every finer
-    mesh bit-for-bit), so cell wall times exclude it.  If it fails for an
-    s, every cell of that s fails with its error; the other s still run.
+    Every mesh is measured at the coarsest mesh's window nodes, which
+    exact h-halving keeps on every finer mesh.  Repeated s or h values
+    and a window reaching beyond the domain raise ValueError before any
+    cell runs.
     """
+    _check_sweep(s_values, h_values, domain, window)
     U = gaussian_profile()
     coarse = _snapped_mesh(max(h_values), *domain)
     sl = coarse.window_slice(*window)
     points = coarse.nodes[sl.start:sl.stop]
-    oracles = {}  # s -> {x: oracle value}, or the exception the oracle raised
-    for s in sorted(s_values):
-        try:
-            oracles[s] = {float(x): continuous_op_oracle(U, float(s), float(x), tol=tol)
-                          for x in points}
-        except Exception as exc:  # noqa: BLE001 - reported by every cell of this s
-            oracles[s] = exc
 
     def measure(s, h):
-        oracle_at = oracles[s]
-        if isinstance(oracle_at, Exception):
-            raise oracle_at
-        err = consistency_error(
-            U, float(s), _snapped_mesh(h, *domain),
-            exact_op=lambda x: oracle_at[float(x)], points=points,
-        )
+        err = consistency_error(U, float(s), _snapped_mesh(h, *domain), points=points,
+                                exact_op=gaussian_frac_laplacian(s))
         return ErrorRecord(problem="gaussian", s=float(s), alpha=0.0, h=float(h), dt=0.0,
                            error=err)
 

@@ -55,7 +55,7 @@ def consistency_sweep():
     res = run_consistency_study(
         s_values=(0.3, 0.6, 0.75),
         h_values=(0.8, 0.4, 0.2, 0.1, 0.05),
-        window=(-2.0, 2.0), domain=(-20.0, 20.0), tol=1e-7,
+        window=(-2.0, 2.0), domain=(-20.0, 20.0),
     )
     assert not res.failures
     return res, _elapsed(t0)

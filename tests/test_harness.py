@@ -43,6 +43,11 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             StudyConfig(domain=(-10.0, 10.0), window=(-20.0, 5.0))
 
+    def test_rejects_repeated_s(self):
+        # a repeated s would give the report two h-levels of equal h
+        with pytest.raises(ValueError, match="s_values must not repeat"):
+            StudyConfig(s_values=(0.4, 0.4))
+
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):
             StudyConfig(workers=0)
@@ -140,7 +145,7 @@ class TestConsistencyStudy:
     def test_small_sweep_decreasing(self):
         res = run_consistency_study(
             s_values=(0.5,), h_values=(0.4, 0.2, 0.1),
-            window=(-1.0, 1.0), domain=(-15.0, 15.0), tol=1e-7,
+            window=(-1.0, 1.0), domain=(-15.0, 15.0),
         )
         assert not res.failures
         errs = [r.error for r in res.records]
@@ -150,13 +155,15 @@ class TestConsistencyStudy:
         res = run_consistency_study((0.5,), (0.4,), window=(-1.0, 1.0), domain=(-10.0, 10.0))
         assert [r.problem for r in res.records] == ["gaussian"]
 
-    def test_oracle_failure_fails_only_its_cells(self):
-        # at tol 1e-12 the oracle meets its budget for s = 0.3 but not for 0.6
-        res = run_consistency_study((0.3, 0.6), (0.4, 0.2), window=(-1.0, 1.0),
-                                    domain=(-15.0, 15.0), tol=1e-12)
-        assert [(r.s, r.h) for r in res.records] == [(0.3, 0.4), (0.3, 0.2)]
-        assert [(s, h) for s, h, _ in res.failures] == [(0.6, 0.4), (0.6, 0.2)]
-        assert all(msg.startswith("OracleConvergenceError: ") for _, _, msg in res.failures)
+    @pytest.mark.parametrize("settings, message", [
+        (dict(s_values=(0.5, 0.5), h_values=(0.4, 0.2)), "s_values must not repeat"),
+        (dict(s_values=(0.5,), h_values=(0.4, 0.4)), "h_values must not repeat"),
+        (dict(s_values=(0.5,), h_values=(0.4, 0.2), window=(-30.0, 30.0)),
+         "window must be contained in the domain"),
+    ])
+    def test_rejects_settings_before_any_cell(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            run_consistency_study(domain=(-10.0, 10.0), **settings)
 
 
 class TestRunStudy:
@@ -200,17 +207,34 @@ class TestCli:
     def test_consistency_missing_args_exit_2(self, capsys):
         assert cli_main(["consistency"]) == 2
 
-    @pytest.mark.parametrize("flags", [["--window=-900,5"], ["--h", "0.1,0.2"]])
+    @pytest.mark.parametrize("flags", [
+        ["--window=-900,5"], ["--h", "0.1,0.2"],
+        ["--problem", "example2", "--s", "0.5,0.5", "--h", "0.2,0.1", "--dt", "0.01",
+         "--T", "0.02", "--domain=-1,1", "--window=-0.5,0.5"],
+    ])
     def test_invalid_study_settings_exit_2(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["study", *flags])
         assert exc.value.code == 2
-        assert "error:" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--s", "0.5,0.5", "--h", "0.4,0.2", "--window=-1,1", "--domain=-10,10"],
+        ["--s", "0.5", "--h", "0.4,0.4", "--window=-1,1", "--domain=-10,10"],
+        ["--s", "0.5", "--h", "0.4,0.2", "--window=-30,30", "--domain=-10,10"],
+    ])
+    def test_invalid_consistency_settings_exit_2(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["consistency", *flags])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: consistency:" in err
 
     def test_consistency_stdout_csv(self, capsys):
         rc = cli_main([
             "consistency", "--s", "0.5", "--h", "0.4,0.2,0.1",
-            "--window=-1,1", "--domain=-15,15", "--tol", "1e-7",
+            "--window=-1,1", "--domain=-15,15",
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -280,16 +304,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert "cell (s=0.5, h=1.0) aborted: ValueError" in err
         assert "cell (s=0.5, h=0.5) aborted: ValueError" in err
-
-    def test_consistency_oracle_failure_exit_1(self, capsys):
-        rc = cli_main([
-            "consistency", "--s", "0.3,0.6", "--h", "0.4,0.2",
-            "--window=-1,1", "--domain=-15,15", "--tol", "1e-12",
-        ])
-        assert rc == 1
-        out, err = capsys.readouterr()
-        assert {r.s for r in read_csv(io.StringIO(out))} == {0.3}
-        assert err.count("aborted: OracleConvergenceError") == 2
 
     def test_mild_reference_rows_carry_dt_zero(self, tmp_path, capsys):
         out_path = tmp_path / "study.csv"

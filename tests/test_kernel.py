@@ -8,16 +8,21 @@ from scipy.linalg import toeplitz
 
 from fracheat.grid import Mesh, restrict
 from fracheat.kernel import (
-    OracleConvergenceError,
+    SymmetricKernel,
     apply_operator,
     consistency_error,
-    continuous_op_oracle,
     frac_laplacian_constant,
     kernel_weights,
     toeplitz_matvec,
 )
+from fracheat.problems import gaussian_frac_laplacian
 from fracheat.semigroup import frac_semigroup_kernel
-from oracles import kernel_weights_direct, toeplitz_direct
+from oracles import (
+    OracleConvergenceError,
+    continuous_op_oracle,
+    kernel_weights_direct,
+    toeplitz_direct,
+)
 
 
 class TestWeights:
@@ -119,8 +124,8 @@ class TestToeplitzApply:
 
 class TestSymmetricKernel:
     def test_one_type_under_every_name(self):
-        assert kernel_weights(0.5, 1.0, 4).t is None
-        assert frac_semigroup_kernel(0.5, 1.0, 0.2, 4).t == 0.2
+        assert type(kernel_weights(0.5, 1.0, 4)) is SymmetricKernel
+        assert type(frac_semigroup_kernel(0.5, 1.0, 0.2, 4)) is SymmetricKernel
 
     def test_weights_read_only(self):
         for k in (kernel_weights(0.5, 1.0, 8), frac_semigroup_kernel(0.5, 1.0, 0.2, 8)):
@@ -183,7 +188,8 @@ class TestConsistency:
         points = mesh0.nodes[sl.start:sl.stop]
         for h in hs:
             mesh = Mesh(h=h, a=-20.0, b=20.0)
-            errs.append(consistency_error(U, s, mesh, points=points, tol=1e-8))
+            errs.append(consistency_error(U, s, mesh, points=points,
+                                          exact_op=gaussian_frac_laplacian(s)))
         assert errs[0] > errs[1] > errs[2]
         order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert order >= 2.0 - 2.0 * s - 0.25
@@ -192,4 +198,4 @@ class TestConsistency:
         U = lambda x: math.exp(-x * x)
         mesh = Mesh(h=0.5, a=-5.0, b=5.0)
         with pytest.raises(ValueError):
-            consistency_error(U, 0.5, mesh, points=[0.3])
+            consistency_error(U, 0.5, mesh, points=[0.3], exact_op=gaussian_frac_laplacian(0.5))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +8,16 @@ from hypothesis import strategies as st
 
 from fracheat.evolution import SchemeConfig, solve
 from fracheat.grid import Mesh
-from fracheat.kernel import continuous_op_oracle
 from fracheat.problems import (
     example1,
     example2,
+    gaussian_frac_laplacian,
     gaussian_profile,
     getoor_constant,
     semilinear_variant,
     to_evolution_problem,
 )
+from oracles import continuous_op_oracle
 
 
 class TestExample1:
@@ -145,3 +147,27 @@ class TestGaussianProfile:
         U = gaussian_profile()
         assert U(0.0) == 1.0
         assert np.allclose(U(np.array([1.0, -1.0])), math.exp(-1.0))
+
+    @pytest.mark.parametrize("s", [0.05, 0.3, 0.6, 0.95])
+    def test_closed_form_against_mpmath(self, s):
+        x = np.linspace(-30.0, 30.0, 241)
+        got = gaussian_frac_laplacian(s)(x)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(0.5) + s
+            c = mpmath.mpf(4) ** s * mpmath.gamma(a) / mpmath.sqrt(mpmath.pi)
+            ref = np.array([float(c * mpmath.hyp1f1(a, 0.5, -mpmath.mpf(xi) ** 2)) for xi in x])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+    @pytest.mark.parametrize("s", [0.3, 0.6, 0.75])
+    def test_closed_form_against_oracle(self, s):
+        # the window nodes of the acceptance consistency sweep: the coarsest
+        # mesh (h = 0.8 on [-20, 20]) inside the window (-2, 2)
+        op = gaussian_frac_laplacian(s)
+        for x in (-1.6, -0.8, 0.0, 0.8, 1.6):
+            oracle = continuous_op_oracle(gaussian_profile(), s, x, tol=1e-9)
+            assert abs(op(x) - oracle) <= 1e-9, x
+
+    def test_closed_form_rejects_out_of_range(self):
+        for s in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                gaussian_frac_laplacian(s)

@@ -177,14 +177,14 @@ _FOOTPRINT_SCRIPT = """
 import sys
 import numpy as np
 from fracheat import EvolutionProblem, GridFunction, Mesh, SchemeConfig, solve
-from fracheat.kernel import continuous_op_oracle
+from fracheat.special import mittag_leffler
 mesh = Mesh(h=0.5, a=-5.0, b=5.0)
 prob = EvolutionProblem(s=0.5, alpha=1.0, mesh=mesh, t_horizon=0.05,
                         u0=GridFunction(mesh, np.exp(-mesh.nodes ** 2)))
 solve(prob, SchemeConfig(stepper="backward_euler", dt=0.01))
 assert {module!r} not in sys.modules, {module!r} + " loaded"
-print(repr(continuous_op_oracle(lambda x: np.exp(-x * x), 0.5, 0.3)))
-assert "scipy.integrate" in sys.modules, "the oracle ran without scipy.integrate"
+print(repr(mittag_leffler(0.5, -100.0)))
+assert "scipy.integrate" in sys.modules, "the integral ran without scipy.integrate"
 """
 
 
@@ -194,9 +194,8 @@ def test_library_leaves_module_out(module):
     # (which loads scipy.optimize) is imported by the adaptive quadratures
     # on first use.  Importing the library and marching a few steps must
     # load none of them.  This process has loaded them all already, so a
-    # fresh interpreter checks; its oracle call then loads scipy.integrate.
-    from fracheat.kernel import continuous_op_oracle
-
+    # fresh interpreter checks; its Mittag-Leffler value past the float
+    # series then loads scipy.integrate.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -205,7 +204,7 @@ def test_library_leaves_module_out(module):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert run.returncode == 0, run.stderr
-    want = continuous_op_oracle(lambda x: np.exp(-x * x), 0.5, 0.3)
+    want = mittag_leffler(0.5, -100.0)
     assert float(run.stdout) == want
 
 
