@@ -16,8 +16,8 @@ ahead of the command line: explicit flags override the file, and a key
 the subcommand has no flag for is rejected.  The CSV report goes to --out
 (default stdout) unless no cell succeeded; aborted cells and fitted rates
 go to stderr.  Exit code is 0 on success, 1 if any study cell aborted and
-2 on a usage error, which includes settings the study refuses (repeated s
-or h values, a window outside the domain).
+2 on a usage error, which includes settings the study refuses (an empty
+or repeated s or h list, a window outside the domain).
 """
 
 from __future__ import annotations

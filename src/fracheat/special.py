@@ -7,9 +7,10 @@ both in double precision.
 The Mittag-Leffler series reads its log-gamma values gammaln(alpha n + beta)
 from a per-(alpha, beta) table made by one array gammaln call, cached as a
 tuple of floats and rebuilt at twice the length when a series runs past
-its end; the values are bitwise those of scalar gammaln calls.  The
-adaptive quadratures import scipy.integrate on their first call, so
-importing this module does not load it.
+its end; the values are bitwise those of scalar gammaln calls.  Only the
+Mittag-Leffler integral uses an adaptive quadrature, and it imports
+scipy.integrate on its first call, so importing this module does not
+load it; the Wright integral is a numpy trapezoid rule and never does.
 
 All routines are pure functions of their arguments and can be called
 concurrently from any number of threads.
@@ -163,6 +164,10 @@ def _ml_integral(alpha, beta, x):
 _WRIGHT_SERIES_DECAY = 1.0   # largest decay exponent E summed by the series
 _WRIGHT_UNDERFLOW = 800.0    # exp(-E) with E beyond this is 0 in doubles
 _WRIGHT_MAX_TERMS = 100_000
+_WRIGHT_FIRST_NODES = 64      # first trapezoid grid of the integral on [0, pi]
+_WRIGHT_MAX_NODES = 1 << 16   # largest grid before the integral is refused
+_WRIGHT_RTOL = 1e-13          # doubling stops once two grids agree to this, relative
+_WRIGHT_REFUSE_RTOL = 1e-11   # a larger gap between the last two grids is refused
 
 
 @lru_cache(maxsize=65536)
@@ -183,10 +188,17 @@ def wright_phi(alpha, x):
         Phi_alpha(x) = x^{alpha/(1-alpha)} / (pi (1-alpha))
                        * integral_0^pi K(phi) exp(-X K(phi)) dphi,
         K(phi) = (sin(alpha phi) / sin phi)^{1/(1-alpha)} sin((1-alpha) phi) / sin(alpha phi),
-    is integrated by adaptive Gauss-Kronrod with exp(-X K(0)) = exp(-E)
-    factored out, so deep-tail values keep their relative accuracy;
-    SeriesConvergenceError is raised if the error estimate exceeds 1e-11
-    relative.  Values below the double underflow threshold return 0.
+    is integrated with exp(-X K(0)) = exp(-E) factored out, so deep-tail
+    values keep their relative accuracy.  The factored integrand
+    K exp(-X (K - K(0))) is even in phi and, as K grows without bound
+    at phi = pi, flat there to all orders, so its periodic extension is
+    smooth and the plain trapezoid rule on [0, pi] converges geometrically
+    (Trefethen and Weideman, SIAM Review 56, 2014).  The rule starts on 64
+    intervals and doubles them, sampling only the new nodes, until two
+    grids agree to 1e-13 relative.  Rounding can keep them further apart
+    as alpha nears 1; the 2^16-interval grid is then accepted if it agrees
+    with its predecessor to 1e-11 relative, and SeriesConvergenceError is
+    raised otherwise.  Values below the double underflow threshold return 0.
     """
     alpha = float(alpha)
     x = float(x)
@@ -211,21 +223,36 @@ def _wright_integral(alpha, x, decay):
     ratio_max = math.exp(700.0 / q)  # beyond it K overflows and the integrand is 0
 
     def integrand(phi):
-        sa = math.sin(alpha * phi)
-        ratio = sa / math.sin(phi)
-        if ratio > ratio_max:
-            return 0.0
-        k = ratio ** q * math.sin((1.0 - alpha) * phi) / sa
-        e = big_x * (k - k0)
-        return k * math.exp(-e) if e < 745.0 else 0.0
+        # phi holds interior nodes of (0, pi), where sin(phi) > 0
+        sa = np.sin(alpha * phi)
+        ratio = sa / np.sin(phi)
+        ok = ratio <= ratio_max
+        k = ratio[ok] ** q * np.sin((1.0 - alpha) * phi[ok]) / sa[ok]
+        # e = X (K - K(0)) >= 745 underflows exp(-e) to 0; the test is made
+        # on K - K(0), as the product itself can overflow when alpha nears 1
+        d = k - k0
+        live = d < 745.0 / big_x
+        return float(np.sum(k[live] * np.exp(-big_x * d[live])))
 
-    from scipy.integrate import quad
-
-    val, err = quad(integrand, 0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=200)
-    if not (val > 0.0 and err <= 1e-11 * val):
+    # trapezoid rule on [0, pi]: the phi = 0 node is the limit K(0) = k0
+    # and the phi = pi node is 0; each doubling adds the new odd nodes
+    m = _WRIGHT_FIRST_NODES
+    total = 0.5 * k0 + integrand(math.pi * np.arange(1, m) / m)
+    val, gap = math.pi * total / m, math.inf
+    while 2 * m <= _WRIGHT_MAX_NODES:
+        total += integrand(math.pi * np.arange(1, 2 * m, 2) / (2 * m))
+        m *= 2
+        prev, val = val, math.pi * total / m
+        gap = abs(val - prev)
+        if gap <= _WRIGHT_RTOL * val:
+            break
+    # rounding in K, amplified about q X K(0) = q E times in the exponent,
+    # can keep the grids apart by more than _WRIGHT_RTOL as alpha nears 1;
+    # the largest grid is then accepted up to the refusal bound
+    if not (val > 0.0 and gap <= _WRIGHT_REFUSE_RTOL * val):
         raise SeriesConvergenceError(
-            f"Wright integral did not converge for alpha={alpha}, x={x}: "
-            f"{val!r} +- {err!r}"
+            f"Wright integral did not settle for alpha={alpha}, x={x} within "
+            f"{m} trapezoid nodes: {val!r} +- {gap!r}"
         )
     return math.exp(alpha * q * math.log(x) - decay + math.log(val / (math.pi * (1.0 - alpha))))
 

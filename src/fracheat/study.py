@@ -53,8 +53,11 @@ _DEFAULT_H = (6.6667, 3.3333, 1.6667, 0.8333, 0.4167)
 
 
 def _check_sweep(s_values, h_values, domain, window):
-    """Refuse a sweep whose report would repeat a cell or whose window
-    reaches beyond the domain (and so would be measured only in part)."""
+    """Refuse a sweep that would measure nothing, whose report would repeat
+    a cell, or whose window reaches beyond the domain (and so would be
+    measured only in part)."""
+    if not s_values or not h_values:
+        raise ValueError("s_values and h_values must not be empty")
     if len(set(s_values)) != len(s_values):
         raise ValueError("s_values must not repeat")
     if len(set(h_values)) != len(h_values):
@@ -250,9 +253,9 @@ def run_consistency_study(s_values, h_values, window=(-2.0, 2.0), domain=(-20.0,
     against its closed-form fractional Laplacian (gaussian_frac_laplacian).
 
     Every mesh is measured at the coarsest mesh's window nodes, which
-    exact h-halving keeps on every finer mesh.  Repeated s or h values
-    and a window reaching beyond the domain raise ValueError before any
-    cell runs.
+    exact h-halving keeps on every finer mesh.  Empty or repeated s or h
+    values and a window reaching beyond the domain raise ValueError
+    before any cell runs.
     """
     _check_sweep(s_values, h_values, domain, window)
     U = gaussian_profile()

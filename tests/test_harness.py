@@ -48,6 +48,12 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="s_values must not repeat"):
             StudyConfig(s_values=(0.4, 0.4))
 
+    @pytest.mark.parametrize("field", ["s_values", "h_values"])
+    def test_rejects_empty_sweep(self, field):
+        # a sweep with no cells would report success having measured nothing
+        with pytest.raises(ValueError, match="must not be empty"):
+            StudyConfig(t_horizon=0.01, **{field: ()})
+
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):
             StudyConfig(workers=0)
@@ -160,6 +166,8 @@ class TestConsistencyStudy:
         (dict(s_values=(0.5,), h_values=(0.4, 0.4)), "h_values must not repeat"),
         (dict(s_values=(0.5,), h_values=(0.4, 0.2), window=(-30.0, 30.0)),
          "window must be contained in the domain"),
+        (dict(s_values=(), h_values=(0.4, 0.2)), "must not be empty"),
+        (dict(s_values=(0.5,), h_values=()), "must not be empty"),
     ])
     def test_rejects_settings_before_any_cell(self, settings, message):
         with pytest.raises(ValueError, match=message):
@@ -211,6 +219,8 @@ class TestCli:
         ["--window=-900,5"], ["--h", "0.1,0.2"],
         ["--problem", "example2", "--s", "0.5,0.5", "--h", "0.2,0.1", "--dt", "0.01",
          "--T", "0.02", "--domain=-1,1", "--window=-0.5,0.5"],
+        ["--problem", "example2", "--s", ",", "--h", "0.2,0.1", "--dt", "0.01",
+         "--T", "0.02", "--domain=-1,1", "--window=-0.5,0.5"],
     ])
     def test_invalid_study_settings_exit_2(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -223,6 +233,8 @@ class TestCli:
         ["--s", "0.5,0.5", "--h", "0.4,0.2", "--window=-1,1", "--domain=-10,10"],
         ["--s", "0.5", "--h", "0.4,0.4", "--window=-1,1", "--domain=-10,10"],
         ["--s", "0.5", "--h", "0.4,0.2", "--window=-30,30", "--domain=-10,10"],
+        ["--s", ",", "--h", "0.4,0.2"],
+        ["--s", "0.5", "--h", ","],
     ])
     def test_invalid_consistency_settings_exit_2(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:

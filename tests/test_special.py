@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import ive, rgamma
 
+from fracheat import special
 from fracheat.semigroup import frac_semigroup_kernel, subordination_quadrature
 from fracheat.special import (
     SeriesConvergenceError,
@@ -149,6 +151,16 @@ class TestMittagLefflerIntegral:
                 ), (beta, x)
 
 
+def _run_fresh(script):
+    """Run script in a fresh interpreter that imports this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
 def test_library_runs_without_mpmath():
     # a None entry in sys.modules makes every import of mpmath fail
     script = """
@@ -164,12 +176,7 @@ assert wright_phi(0.5, 10.0) > 0.0          # integral
 assert len(subordination_quadrature(0.5).nodes) > 0
 assert subordinated_kernel(0.5, 0.5, 0.5, 0.1, 8).w[0] > 0.0
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    run = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
-    )
+    run = _run_fresh(script)
     assert run.returncode == 0, run.stderr
 
 
@@ -191,21 +198,45 @@ assert "scipy.integrate" in sys.modules, "the integral ran without scipy.integra
 @pytest.mark.parametrize("module", ["mpmath", "scipy.integrate", "scipy.optimize"])
 def test_library_leaves_module_out(module):
     # mpmath is the tests' oracle only, and may be installed; scipy.integrate
-    # (which loads scipy.optimize) is imported by the adaptive quadratures
-    # on first use.  Importing the library and marching a few steps must
-    # load none of them.  This process has loaded them all already, so a
-    # fresh interpreter checks; its Mittag-Leffler value past the float
-    # series then loads scipy.integrate.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    script = _FOOTPRINT_SCRIPT.format(module=module)
-    run = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
-    )
+    # (which loads scipy.optimize) is imported only by the Mittag-Leffler
+    # integral, on first use.  Importing the library and marching a few
+    # steps must load none of them.  This process has loaded them all
+    # already, so a fresh interpreter checks; its Mittag-Leffler value past
+    # the float series then loads scipy.integrate.
+    run = _run_fresh(_FOOTPRINT_SCRIPT.format(module=module))
     assert run.returncode == 0, run.stderr
     want = mittag_leffler(0.5, -100.0)
     assert float(run.stdout) == want
+
+
+_SUBORDINATION_FOOTPRINT_SCRIPT = """
+import sys
+from fracheat import Mesh
+from fracheat.evolution import evaluate_mild
+from fracheat.problems import example2, to_evolution_problem
+from fracheat.semigroup import subordinated_kernel, subordination_quadrature
+from fracheat.special import wright_phi
+assert len(subordination_quadrature(0.5).nodes) > 0
+assert wright_phi(0.5, 10.0) > 0.0          # integral branch
+assert subordinated_kernel(0.5, 0.5, 0.5, 0.1, 8).w[0] > 0.0
+prob = to_evolution_problem(example2(0.9), Mesh(0.25, -0.75, 0.75), alpha=0.5, t_horizon=0.05)
+assert evaluate_mild(prob, 0.05).values.max() > 0.0
+loaded = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+assert not loaded, loaded
+"""
+
+
+def test_subordination_path_leaves_integrate_out():
+    # the Wright density's trapezoid rule runs in numpy, so the whole
+    # subordination path (quadrature, kernels, mild solution) loads neither
+    # scipy.integrate nor the scipy.optimize it would pull in
+    run = _run_fresh(_SUBORDINATION_FOOTPRINT_SCRIPT)
+    assert run.returncode == 0, run.stderr
+
+
+def _x_at_decay(alpha, decay):
+    """The x at which E = (1-alpha) (alpha^alpha x)^{1/(1-alpha)} equals decay."""
+    return (decay / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
 
 
 class TestWright:
@@ -214,6 +245,33 @@ class TestWright:
         for x in (0.0, 0.5, 1.0, 3.0, 10.0, 25.0):
             ref = math.exp(-x * x / 4.0) / math.sqrt(math.pi)
             assert wright_phi(0.5, x) == pytest.approx(ref, rel=1e-10, abs=1e-300)
+
+    def test_half_alpha_closed_form_integral_branch(self):
+        # from the series/integral switch at E = 1 (x = 2) up to the
+        # alpha = 1/2 quadrature cutoff, where the trapezoid rule runs
+        x_cut = float(subordination_quadrature(0.5).nodes[-1])
+        for x in np.linspace(2.0, x_cut, 41)[1:]:
+            ref = math.exp(-x * x / 4.0) / math.sqrt(math.pi)
+            assert wright_phi(0.5, float(x)) == pytest.approx(ref, rel=1e-12, abs=0.0), x
+
+    def test_integral_refuses_unsettled_grid(self, monkeypatch):
+        # with the node cap at the first grid no doubling can confirm the
+        # value, so the integral must raise rather than return it
+        monkeypatch.setattr(special, "_WRIGHT_MAX_NODES", special._WRIGHT_FIRST_NODES)
+        with pytest.raises(SeriesConvergenceError, match="did not settle"):
+            special.wright_phi.__wrapped__(0.05, 20.0)
+
+    def test_integral_raises_no_numpy_warnings(self):
+        # every sample past the overflow guards must stay silent: over the
+        # alpha = 0.94 quadrature nodes, and at alpha = 0.999 across the
+        # integral branch, where X (K - K(0)) overflows at the far phi nodes
+        sweeps = [(0.94, subordination_quadrature(0.94).nodes),
+                  (0.999, np.linspace(_x_at_decay(0.999, 1.0), _x_at_decay(0.999, 800.0), 20))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha, xs in sweeps:
+                for x in xs:
+                    assert special.wright_phi.__wrapped__(alpha, float(x)) >= 0.0, (alpha, x)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8])
     def test_moments(self, alpha):
@@ -273,12 +331,14 @@ def _wright_series_mp(alpha, x):
 
 
 class TestWrightAgainstSeries:
-    @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.5, 0.7, 0.8, 0.9])
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25, 0.3, 0.5, 0.7, 0.8, 0.9, 0.94])
     def test_matches_extended_precision_series(self, alpha):
         # up to the quadrature cutoff, including both sides of the
-        # series/integral switch at E = 1
-        x_cut = float(subordination_quadrature(alpha).nodes[-1])
-        x_switch = (1.0 / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
+        # series/integral switch at E = 1.  The cutoff is capped at E = 50:
+        # at alpha = 0.94 the last Gauss panel reaches E ~ 2300, past the
+        # double underflow, where summing the oracle series takes minutes
+        x_cut = min(float(subordination_quadrature(alpha).nodes[-1]), _x_at_decay(alpha, 50.0))
+        x_switch = _x_at_decay(alpha, 1.0)
         xs = list(np.linspace(0.0, x_cut, 17)[1:]) + [0.999 * x_switch, 1.001 * x_switch]
         for x in xs:
             ref = _wright_series_mp(alpha, float(x))
