@@ -99,6 +99,25 @@ def _alias_nodes(s, factors, rates, tol):
     return m
 
 
+def _spectral_samples(theta, s, cusp, factors, rates):
+    """The cusp-corrected integrand cusp lam + sum_i factors_i exp(-rates_i lam)
+    at the nodes theta, lam = (4 sin^2(theta/2))^s.
+
+    The tau nodes go in blocks of about _BLOCK exponentials.  Each block
+    is formed as the outer product of its rates with -lam, which equals
+    -(rates x lam) bit for bit, and exponentiated in place, so the only
+    full-size array per block is the one the exponentials fill.
+    """
+    lam = (4.0 * np.sin(theta / 2.0) ** 2) ** s
+    g = cusp * lam
+    neg_lam = -lam
+    step = max(1, _BLOCK // len(theta))
+    for i in range(0, len(rates), step):
+        e = np.multiply.outer(rates[i:i + step], neg_lam)
+        g += factors[i:i + step] @ np.exp(e, out=e)
+    return g
+
+
 def _spectral_kernel(s, h, t, half_width, factors, rates, tol):
     """Fourier coefficients n = 0..half_width of
     g(theta) = sum_i factors_i exp(-rates_i lam(theta)), lam = (4 sin^2(theta/2))^s,
@@ -107,8 +126,8 @@ def _spectral_kernel(s, h, t, half_width, factors, rates, tol):
     g has a |theta|^{2s} cusp whose coefficients -S lamhat_n,
     S = sum_i factors_i rates_i, decay only like n^{-1-2s}; lamhat_n are
     the h = 1 lattice weights (closed-form gamma ratios).  The rule
-    samples g + S lam, whose coefficients decay like n^{-1-4s}, and adds
-    -S lamhat_n back exactly.  Even g needs the nodes on [0, pi] only
+    samples g + S lam (_spectral_samples), whose coefficients decay like
+    n^{-1-4s}, and adds -S lamhat_n back exactly.  Even g needs the nodes on [0, pi] only
     (a type-1 DCT), and each doubling samples just the new odd nodes:
     2 pi (2k) / (2m) is bitwise 2 pi k / m.  Raises SeriesConvergenceError
     unless two successive grids agree to tol.
@@ -131,23 +150,17 @@ def _spectral_kernel(s, h, t, half_width, factors, rates, tol):
         )
     m = 1 << max(8, int(math.ceil(math.log2(m))))
 
-    def samples(theta):
-        lam = (4.0 * np.sin(theta / 2.0) ** 2) ** s
-        g = cusp * lam
-        step = max(1, _BLOCK // len(theta))
-        for i in range(0, len(rates), step):
-            g += factors[i:i + step] @ np.exp(-np.outer(rates[i:i + step], lam))
-        return g
-
     def coefficients(g, m):
         return dct(g, type=1)[: half_width + 1] / m - cusp * lam_hat
 
-    g = samples(2.0 * math.pi * np.arange(m // 2 + 1) / m)
+    g = _spectral_samples(2.0 * math.pi * np.arange(m // 2 + 1) / m,
+                           s, cusp, factors, rates)
     prev = coefficients(g, m)
     while 2 * m <= _MAX_NODES:
         finer = np.empty(m + 1)
         finer[0::2] = g
-        finer[1::2] = samples(2.0 * math.pi * np.arange(1, m, 2) / (2 * m))
+        finer[1::2] = _spectral_samples(2.0 * math.pi * np.arange(1, m, 2) / (2 * m),
+                                         s, cusp, factors, rates)
         g, m = finer, 2 * m
         w = coefficients(g, m)
         if np.max(np.abs(w - prev)) <= tol:
@@ -242,9 +255,11 @@ def subordinated_kernel(s, h, alpha, t, half_width, weighted_by_tau=False):
     integral tau Phi_alpha(tau) exp(-tau t^alpha A) dtau (the prefactor
     alpha t^{alpha-1} of the second operator is left to the caller).
     All tau nodes share the theta grid, so the whole tau integral is one
-    spectral integrand.
+    spectral integrand.  Raises ValueError for t < 0.
     """
     s, h, alpha, t, half_width = float(s), float(h), float(alpha), float(t), int(half_width)
+    if t < 0.0:
+        raise ValueError(f"t must be non-negative, got {t}")
     quadr = subordination_quadrature(alpha)
     factors = quadr.weights * quadr.phi
     if weighted_by_tau:

@@ -47,6 +47,12 @@ class TestL1Weights:
         with pytest.raises(ValueError):
             caputo_l1_weights(1.0, 10, 0.01)
 
+    @pytest.mark.parametrize("dt", [-1e-3, 0.0])
+    def test_rejects_non_positive_dt(self, dt):
+        # a negative dt would give complex weights
+        with pytest.raises(ValueError, match="dt"):
+            caputo_l1_weights(0.5, 3, dt)
+
     @given(alpha=st.floats(0.05, 0.95))
     @settings(max_examples=25, deadline=None)
     def test_weights_decreasing_any_alpha(self, alpha):
@@ -68,6 +74,11 @@ class TestScalarL1:
         tt, y = solve_scalar_l1(0.6, 2.0, 1.0, 1e-3)
         ref = mittag_leffler(0.6, -2.0)
         assert y[-1] == pytest.approx(ref, abs=5e-3)
+
+    @pytest.mark.parametrize("t_final, dt", [(2.0, -1e-3), (-2.0, -1e-3), (1.0, 0.0)])
+    def test_rejects_non_positive_dt(self, t_final, dt):
+        with pytest.raises(ValueError, match="dt"):
+            solve_scalar_l1(0.5, 1.0, t_final, dt)
 
 
 class TestBackwardEuler:
@@ -209,6 +220,13 @@ class TestMildReference:
     def test_dt_only_for_the_marching_steppers(self, stepper, dt):
         with pytest.raises(ValueError):
             SchemeConfig(stepper=stepper, dt=dt)
+
+    def test_rejects_negative_time(self):
+        # t^alpha of a negative t is complex; the kernel builder refuses it
+        prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
+                                    alpha=0.5, t_horizon=0.2)
+        with pytest.raises(ValueError, match="t must be non-negative"):
+            evaluate_mild(prob, -0.1)
 
     def test_rejects_nonlinearity(self):
         mesh = Mesh(h=0.5, a=-5.0, b=5.0)

@@ -165,6 +165,12 @@ class TestSubordination:
                 v = subordinated_P_apply(u, 0.6, alpha, t)
                 assert v.sup_norm() <= t ** (alpha - 1.0) * u.sup_norm() + 1e-12
 
+    @pytest.mark.parametrize("weighted_by_tau", [False, True])
+    def test_kernel_rejects_negative_time(self, weighted_by_tau):
+        # as frac_semigroup_kernel does, instead of a complex t ** alpha
+        with pytest.raises(ValueError, match="t must be non-negative"):
+            subordinated_kernel(0.6, 0.5, 0.5, -0.1, 8, weighted_by_tau=weighted_by_tau)
+
     def test_P_rejects_zero_time(self):
         mesh = Mesh(h=0.5, a=-10.0, b=10.0)
         with pytest.raises(ValueError):
