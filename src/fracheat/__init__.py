@@ -21,12 +21,9 @@ from .special import (
     wright_phi,
 )
 from .semigroup import (
-    frac_semigroup_apply,
     frac_semigroup_kernel,
     subordinate_scalar_P,
     subordinate_scalar_S,
-    subordinated_P_apply,
-    subordinated_S_apply,
     subordination_quadrature,
 )
 from .evolution import (
@@ -38,7 +35,6 @@ from .evolution import (
     evaluate_mild,
     solve,
     solve_scalar_l1,
-    sup_norm_error,
 )
 from .problems import (
     ManufacturedSolution,
@@ -59,7 +55,6 @@ from .study import (
     StudyResult,
     emit_csv,
     fit_rates,
-    read_csv,
     run_consistency_study,
     run_study,
 )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .study import PAPER_SCALE, StudyConfig, emit_csv, run_consistency_study, run_study
 
@@ -109,8 +110,9 @@ def _report(result, out, include_timings=False):
             f"(residual {rate.residual:.2e}, {rate.n_used} points)",
             file=sys.stderr,
         )
-    if result.records:
-        emit_csv(result, sys.stdout if out is None else out, include_timings=include_timings)
+    if result.records:  # so no file is made when every cell failed
+        with nullcontext(sys.stdout) if out is None else open(out, "w") as buf:
+            emit_csv(result, buf, include_timings=include_timings)
     return 1 if result.failures else 0
 
 

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import GridFunction, Mesh, open_text
+from .grid import GridFunction, Mesh
 from .kernel import kernel_weights, toeplitz_matvec
 from . import semigroup as sg
 
@@ -49,7 +49,6 @@ __all__ = [
     "solve",
     "solve_scalar_l1",
     "evaluate_mild",
-    "sup_norm_error",
 ]
 
 
@@ -133,10 +132,7 @@ class SchemeConfig:
             raise ValueError("dt must be positive")
 
     def n_steps(self, t_horizon):
-        n = round(t_horizon / self.dt)
-        if n < 1 or abs(n * self.dt - t_horizon) > 1e-9 * t_horizon:
-            raise ValueError("the horizon must be an integer number of steps")
-        return n
+        return _n_steps(t_horizon, self.dt)
 
 
 @dataclass
@@ -148,14 +144,16 @@ class Trajectory:
     log: list = field(default_factory=list)
     final: Optional[GridFunction] = None
 
-    def snapshots_to_csv(self, path_or_buf):
-        """Write all snapshots as long-format CSV with header ``t,x,value``."""
-        with open_text(path_or_buf, "w") as buf:
-            buf.write("t,x,value\n")
-            for t in sorted(self.snapshots):
-                u = self.snapshots[t]
-                for x, v in zip(u.mesh.nodes, u.values):
-                    buf.write(f"{t:.17g},{x:.17g},{v:.17g}\n")
+
+def _n_steps(horizon, dt):
+    """Number of steps dt > 0 in the horizon; raises ValueError unless the
+    horizon is positive and a whole number of steps."""
+    if not horizon > 0.0:
+        raise ValueError(f"the horizon must be positive, got {horizon}")
+    n = round(horizon / dt)
+    if abs(n * dt - horizon) > 1e-9 * horizon:
+        raise ValueError("the horizon must be an integer number of steps")
+    return n
 
 
 def _l1_history(b, diffs, n):
@@ -453,13 +451,12 @@ def solve_scalar_l1(alpha, lam, t_final, dt, u0=1.0):
     """L1 marching for the scalar relaxation d_t^alpha y + lam y = 0.
 
     Returns (times, values) including t = 0.  The exact solution is
-    u0 * E_alpha(-lam t^alpha).  Raises ValueError unless dt > 0.
+    u0 * E_alpha(-lam t^alpha).  Raises ValueError unless dt > 0 and
+    t_final is a positive whole number of steps.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = round(t_final / dt)
-    if abs(n_steps * dt - t_final) > 1e-9 * t_final:
-        raise ValueError("t_final must be an integer number of steps")
+    n_steps = _n_steps(t_final, dt)
     b = caputo_l1_weights(alpha, n_steps, dt)
     ys = np.empty(n_steps + 1)
     ys[0] = float(u0)
@@ -469,10 +466,3 @@ def solve_scalar_l1(alpha, lam, t_final, dt, u0=1.0):
         diffs[n - 1] = y - ys[n - 1]
         ys[n] = y
     return np.arange(n_steps + 1) * dt, ys
-
-
-def sup_norm_error(u, exact, t, window=None):
-    """Sup-norm distance between a grid function and exact(t, x) on a window."""
-    sel = u.mesh.window_slice(*window) if window is not None else slice(None)
-    x = u.mesh.nodes[sel]
-    return float(np.max(np.abs(u.values[sel] - exact(t, x))))

@@ -3,12 +3,13 @@ the restriction of continuous profiles onto mesh nodes.
 
 A mesh is the portion of the uniform lattice {jh : j integer} that falls
 in a truncation interval [a, b]; grid functions carry one value per node
-and are implicitly zero outside the interval.
+and are implicitly zero outside the interval.  Grid functions have no
+file format: the one report the package writes is the study CSV
+(study.emit_csv).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,47 +82,6 @@ class GridFunction:
 
     def sup_norm(self):
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
-    def copy(self):
-        return GridFunction(self.mesh, self.values.copy())
-
-    def to_csv(self, path_or_buf):
-        """Write the grid function as CSV with header ``x,value``.
-
-        One node per row, 17 significant digits (round-trip exact).
-        """
-        with open_text(path_or_buf, "w") as buf:
-            buf.write("x,value\n")
-            for x, v in zip(self.mesh.nodes, self.values):
-                buf.write(f"{x:.17g},{v:.17g}\n")
-
-    @staticmethod
-    def from_csv(path_or_buf, mesh=None):
-        """Read a ``x,value`` CSV back into a GridFunction.
-
-        If mesh is omitted it is reconstructed from the x column
-        (assumed uniform and straddling zero).
-        """
-        with open_text(path_or_buf) as buf:
-            data = np.loadtxt(buf, delimiter=",", skiprows=1, ndmin=2)
-        x, v = data[:, 0], data[:, 1]
-        if mesh is None:
-            h = float(np.median(np.diff(x)))
-            mesh = Mesh(h=h, a=float(x[0]), b=float(x[-1]))
-        if not np.allclose(mesh.nodes, x, rtol=0.0, atol=1e-9 * mesh.h):
-            raise ValueError("CSV nodes do not match the supplied mesh")
-        return GridFunction(mesh, v)
-
-
-@contextmanager
-def open_text(path_or_buf, mode="r"):
-    """Yield path_or_buf itself if it is already a text buffer, else the
-    file it names opened in mode and closed on exit."""
-    if hasattr(path_or_buf, "read" if mode == "r" else "write"):
-        yield path_or_buf
-    else:
-        with open(path_or_buf, mode) as fh:
-            yield fh
 
 
 def restrict(F, mesh):

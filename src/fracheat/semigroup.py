@@ -15,9 +15,10 @@ O(m^{-1-4s}); it picks m from that error model and doubles it until two
 grids agree to the tolerance (1e-12 for the semigroup kernel, 1e-10 for
 the subordinated ones).  At s = 1 there is no cusp and the semigroup
 kernel is the plain lattice heat kernel e^{-x} I_n(x), x = 2t/h^2.  All
-kernels are non-negative with total mass at most one (sub-Markov), so
-every operator here is a sup-norm contraction.  Kernels are built afresh
-on every call; the library never asks for the same kernel twice.
+kernels are non-negative; all but the tau-weighted one have total mass
+at most one (sub-Markov), so their operators are sup-norm contractions.
+Kernels are built afresh on every call and applied by the caller with
+kernel.toeplitz_matvec; the library never asks for the same kernel twice.
 """
 
 from __future__ import annotations
@@ -30,18 +31,15 @@ import numpy as np
 from scipy.fft import dct
 from scipy.special import zeta
 
-from .grid import GridFunction
-from .kernel import SymmetricKernel, kernel_weights, toeplitz_matvec
+# toeplitz_matvec is not called here; perfbench/spans.py patches semigroup.toeplitz_matvec
+from .kernel import SymmetricKernel, kernel_weights, toeplitz_matvec  # noqa: F401
 from .special import SeriesConvergenceError, wright_phi
 
 __all__ = [
     "SubordinationQuadrature",
     "frac_semigroup_kernel",
-    "frac_semigroup_apply",
     "subordination_quadrature",
     "subordinated_kernel",
-    "subordinated_S_apply",
-    "subordinated_P_apply",
     "subordinate_scalar_S",
     "subordinate_scalar_P",
 ]
@@ -171,12 +169,6 @@ def _spectral_kernel(s, h, t, half_width, factors, rates, tol):
     )
 
 
-def frac_semigroup_apply(u, s, t):
-    """Apply the fractional semigroup exp(-t A) to a grid function."""
-    kernel = frac_semigroup_kernel(s, u.mesh.h, t, u.mesh.n_points)
-    return GridFunction(u.mesh, toeplitz_matvec(kernel, u.values))
-
-
 # ---------------------------------------------------------------------------
 # Wright subordination
 # ---------------------------------------------------------------------------
@@ -255,44 +247,22 @@ def subordinated_kernel(s, h, alpha, t, half_width, weighted_by_tau=False):
     integral tau Phi_alpha(tau) exp(-tau t^alpha A) dtau (the prefactor
     alpha t^{alpha-1} of the second operator is left to the caller).
     All tau nodes share the theta grid, so the whole tau integral is one
-    spectral integrand.  Raises ValueError for t < 0.
+    spectral integrand.  At t = 0 it is exactly the identity, times the
+    first Wright moment 1/Gamma(1+alpha) with tau weighting.  Raises
+    ValueError for t < 0.
     """
     s, h, alpha, t, half_width = float(s), float(h), float(alpha), float(t), int(half_width)
     if t < 0.0:
         raise ValueError(f"t must be non-negative, got {t}")
     quadr = subordination_quadrature(alpha)
+    if t == 0.0:
+        w = frac_semigroup_kernel(s, h, 0.0, half_width).w
+        return SymmetricKernel(h=h, w=w / math.gamma(1.0 + alpha) if weighted_by_tau else w)
     factors = quadr.weights * quadr.phi
     if weighted_by_tau:
         factors = factors * quadr.nodes
     rates = quadr.nodes * t ** alpha / h ** (2.0 * s)  # per-node t / h^{2s}
     return _spectral_kernel(s, h, t, half_width, factors, rates, _SUBORDINATED_TOL)
-
-
-def subordinated_S_apply(u, s, alpha, t):
-    """Apply the subordinated propagator of the initial datum.
-
-    At t = 0 this is the identity (the Wright density has unit mass);
-    for t > 0 it is a sup-norm contraction.
-    """
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if t == 0.0:
-        return u.copy()
-    kern = subordinated_kernel(s, u.mesh.h, alpha, t, u.mesh.n_points)
-    return GridFunction(u.mesh, toeplitz_matvec(kern, u.values))
-
-
-def subordinated_P_apply(u, s, alpha, t):
-    """Apply the subordinated forcing propagator alpha t^{alpha-1} * (tau-weighted average).
-
-    Rejects t = 0 (the t^{alpha-1} kernel singularity); satisfies
-    ||P(t) u||_sup <= t^{alpha-1} ||u||_sup.
-    """
-    if not t > 0.0:
-        raise ValueError("the forcing propagator requires t > 0")
-    kern = subordinated_kernel(s, u.mesh.h, alpha, t, u.mesh.n_points, weighted_by_tau=True)
-    pref = alpha * t ** (alpha - 1.0)
-    return GridFunction(u.mesh, pref * toeplitz_matvec(kern, u.values))
 
 
 def subordinate_scalar_S(alpha, lam, t):

@@ -4,7 +4,8 @@ the Gaussian's fractional Laplacian, rate fitting, and deterministic CSV
 reports.
 
 Both studies run their (s, h) cells through one sweep and return a
-StudyResult; writing the report is the caller's job (emit_csv).
+StudyResult.  emit_csv writes its report to a text buffer; opening a
+file for it is the caller's job (the CLI's --out).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .evolution import SchemeConfig, solve
-from .grid import Mesh, open_text
+from .grid import Mesh
 from .kernel import consistency_error
 from .problems import (
     example1,
@@ -39,7 +40,6 @@ __all__ = [
     "run_consistency_study",
     "fit_rates",
     "emit_csv",
-    "read_csv",
 ]
 
 # default Example 1 configurations: a reduced mesh-size range keeps the
@@ -275,48 +275,31 @@ def run_consistency_study(s_values, h_values, window=(-2.0, 2.0), domain=(-20.0,
     return result
 
 
-def emit_csv(result, path_or_buf, include_timings=False):
-    """Write study records as CSV.
+def emit_csv(result, buf, include_timings=False):
+    """Write study records as CSV to the text buffer buf.
 
     Header ``problem,s,alpha,h,dt,error,rate,wall_ms``; one row per
     record in canonical order (s ascending, h descending); reals carry
     17 significant digits.  The rate column holds the pairwise order
     between consecutive h-levels (empty on the first level of each s).
     Wall times are zeroed unless include_timings is set, keeping reruns
-    byte-identical.
+    byte-identical.  Raises ValueError when there are no records.
     """
     records = sorted(result.records, key=lambda r: (r.problem, r.s, -r.h))
     if not records:
         raise ValueError("no records to write")
-    with open_text(path_or_buf, "w") as buf:
-        buf.write("problem,s,alpha,h,dt,error,rate,wall_ms\n")
-        prev = None
-        for r in records:
-            if prev is not None and prev.problem == r.problem and prev.s == r.s:
-                rate = math.log(prev.error / r.error) / math.log(prev.h / r.h) \
-                    if prev.error > 0.0 and r.error > 0.0 else float("nan")
-                rate_txt = f"{rate:.17g}"
-            else:
-                rate_txt = ""
-            wall = r.wall_ms if include_timings else 0.0
-            buf.write(
-                f"{r.problem},{r.s:.17g},{r.alpha:.17g},{r.h:.17g},{r.dt:.17g},"
-                f"{r.error:.17g},{rate_txt},{wall:.17g}\n"
-            )
-            prev = r
-
-
-def read_csv(path_or_buf):
-    """Parse an emit_csv file back into ErrorRecord objects."""
-    with open_text(path_or_buf) as buf:
-        lines = buf.read().strip().split("\n")
-    if lines[0] != "problem,s,alpha,h,dt,error,rate,wall_ms":
-        raise ValueError("unrecognized CSV header")
-    records = []
-    for line in lines[1:]:
-        prob, s, alpha, h, dt, error, _rate, wall = line.split(",")
-        records.append(ErrorRecord(
-            problem=prob, s=float(s), alpha=float(alpha), h=float(h),
-            dt=float(dt), error=float(error), wall_ms=float(wall),
-        ))
-    return records
+    buf.write("problem,s,alpha,h,dt,error,rate,wall_ms\n")
+    prev = None
+    for r in records:
+        if prev is not None and prev.problem == r.problem and prev.s == r.s:
+            rate = math.log(prev.error / r.error) / math.log(prev.h / r.h) \
+                if prev.error > 0.0 and r.error > 0.0 else float("nan")
+            rate_txt = f"{rate:.17g}"
+        else:
+            rate_txt = ""
+        wall = r.wall_ms if include_timings else 0.0
+        buf.write(
+            f"{r.problem},{r.s:.17g},{r.alpha:.17g},{r.h:.17g},{r.dt:.17g},"
+            f"{r.error:.17g},{rate_txt},{wall:.17g}\n"
+        )
+        prev = r

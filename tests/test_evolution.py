@@ -14,7 +14,6 @@ from fracheat.evolution import (
     evaluate_mild,
     solve,
     solve_scalar_l1,
-    sup_norm_error,
 )
 from fracheat.grid import GridFunction, Mesh, restrict
 from fracheat.kernel import apply_operator, kernel_weights, toeplitz_matvec
@@ -79,6 +78,11 @@ class TestScalarL1:
     def test_rejects_non_positive_dt(self, t_final, dt):
         with pytest.raises(ValueError, match="dt"):
             solve_scalar_l1(0.5, 1.0, t_final, dt)
+
+    @pytest.mark.parametrize("t_final", [-2.0, 0.0])
+    def test_rejects_non_positive_horizon(self, t_final):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            solve_scalar_l1(0.5, 1.0, t_final, 1e-3)
 
 
 class TestBackwardEuler:
@@ -250,21 +254,6 @@ class TestMildReference:
 
 
 class TestTrajectory:
-    def test_snapshot_csv_format(self):
-        import io
-
-        mesh = Mesh(h=1.0, a=-1.0, b=1.0)
-        prob = EvolutionProblem(s=0.5, alpha=1.0, mesh=mesh,
-                                u0=GridFunction(mesh, np.array([0.0, 1.0, 0.0])),
-                                t_horizon=0.1)
-        traj = solve(prob, SchemeConfig(stepper="backward_euler", dt=0.05,
-                                        snapshot_times=(0.05, 0.1)))
-        buf = io.StringIO()
-        traj.snapshots_to_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "t,x,value"
-        assert len(lines) == 1 + 2 * mesh.n_points
-
     def test_log_line_format(self):
         mesh = Mesh(h=0.5, a=-5.0, b=5.0)
         prob = EvolutionProblem(s=0.5, alpha=1.0, mesh=mesh, u0=_gaussian(mesh),
@@ -330,18 +319,6 @@ class TestSnapshotTimes:
         assert np.array_equal(traj.snapshots[0.04].values, traj.snapshots[0.05].values)
         assert traj.snapshots[0.04] is not traj.snapshots[0.05]
         assert np.array_equal(traj.snapshots[0.2].values, traj.final.values)
-
-
-class TestSupNormError:
-    def test_identical_zero(self):
-        mesh = Mesh(h=0.5, a=-5.0, b=5.0)
-        u = _gaussian(mesh)
-        assert sup_norm_error(u, lambda t, x: np.exp(-x * x / 4.0), 0.0) == 0.0
-
-    def test_constant_offset(self):
-        mesh = Mesh(h=0.5, a=-5.0, b=5.0)
-        u = GridFunction(mesh, np.zeros(mesh.n_points))
-        assert sup_norm_error(u, lambda t, x: 0.25 * np.ones_like(x), 0.0) == 0.25
 
 
 class TestNonlinearity:

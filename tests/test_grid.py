@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -59,22 +58,6 @@ class TestGridFunction:
         mesh = Mesh(h=1.0, a=-1.0, b=1.0)
         u = GridFunction(mesh, np.array([1.0, -3.0, 2.0]))
         assert u.sup_norm() == 3.0
-
-    def test_csv_roundtrip(self):
-        mesh = Mesh(h=0.25, a=-1.0, b=1.0)
-        u = GridFunction(mesh, np.sin(mesh.nodes) * math.pi)
-        buf = io.StringIO()
-        u.to_csv(buf)
-        buf.seek(0)
-        v = GridFunction.from_csv(buf)
-        assert v.mesh == u.mesh
-        assert np.array_equal(v.values, u.values)
-
-    def test_csv_header(self):
-        mesh = Mesh(h=1.0, a=-1.0, b=1.0)
-        buf = io.StringIO()
-        GridFunction(mesh, np.zeros(3)).to_csv(buf)
-        assert buf.getvalue().splitlines()[0] == "x,value"
 
 
 class TestRestrict:

@@ -10,13 +10,11 @@ from scipy.special import ive
 
 from fracheat import semigroup, special
 from fracheat.grid import Mesh, restrict
+from fracheat.kernel import toeplitz_matvec
 from fracheat.semigroup import (
-    frac_semigroup_apply,
     frac_semigroup_kernel,
     subordinate_scalar_P,
     subordinate_scalar_S,
-    subordinated_P_apply,
-    subordinated_S_apply,
     subordinated_kernel,
     subordination_quadrature,
 )
@@ -71,8 +69,8 @@ class TestApply:
         mesh = Mesh(h=0.25, a=-20.0, b=20.0)
         u = _gaussian(mesh)
         for t in (0.05, 0.5, 2.0):
-            v = frac_semigroup_apply(u, 0.7, t)
-            assert v.sup_norm() <= u.sup_norm() + 1e-13
+            v = toeplitz_matvec(frac_semigroup_kernel(0.7, mesh.h, t, mesh.n_points), u.values)
+            assert np.max(np.abs(v)) <= u.sup_norm() + 1e-13
 
     def test_generator_consistency(self):
         # (u - T(delta) u)/delta -> A u at rate O(delta)
@@ -85,8 +83,9 @@ class TestApply:
         sl = mesh.window_slice(-5.0, 5.0)
         gaps = []
         for delta in (1e-2, 5e-3, 2.5e-3):
-            v = frac_semigroup_apply(u, 0.6, delta)
-            quot = (u.values - v.values) / delta
+            v = toeplitz_matvec(frac_semigroup_kernel(0.6, mesh.h, delta, mesh.n_points),
+                                u.values)
+            quot = (u.values - v) / delta
             gaps.append(np.max(np.abs(quot[sl] - au[sl])))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[1] / gaps[2] == pytest.approx(2.0, abs=0.3)
@@ -97,8 +96,8 @@ class TestApply:
         mesh = Mesh(h=0.25, a=-20.0, b=20.0)
         u = _gaussian(mesh)
         heat = toeplitz(ive(np.arange(mesh.n_points), 2.0 * 0.4 / mesh.h ** 2))
-        b = frac_semigroup_apply(u, 1.0, 0.4)
-        assert np.max(np.abs(heat @ u.values - b.values)) < 1e-10
+        b = toeplitz_matvec(frac_semigroup_kernel(1.0, mesh.h, 0.4, mesh.n_points), u.values)
+        assert np.max(np.abs(heat @ u.values - b)) < 1e-10
 
     def test_heat_kernel_values(self):
         k = frac_semigroup_kernel(1.0, 0.5, 0.3, 40)
@@ -137,20 +136,28 @@ class TestSubordination:
         assert subordinate_scalar_P(alpha, lam, t) == pytest.approx(ref, abs=1e-6)
 
     def test_S_identity_at_zero_time(self):
-        mesh = Mesh(h=0.5, a=-10.0, b=10.0)
-        u = _gaussian(mesh)
-        v = subordinated_S_apply(u, 0.6, 0.5, 0.0)
-        assert np.array_equal(u.values, v.values)
+        identity = np.zeros(5)
+        identity[0] = 1.0
+        assert np.array_equal(subordinated_kernel(0.6, 0.5, 0.5, 0.0, 4).w, identity)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    def test_tau_weighted_kernel_at_zero_time_is_the_first_moment(self, alpha):
+        # the first Wright moment 1/Gamma(1+alpha) times the identity, exactly
+        moment = np.zeros(5)
+        moment[0] = 1.0 / math.gamma(1.0 + alpha)
+        k = subordinated_kernel(0.6, 0.5, alpha, 0.0, 4, weighted_by_tau=True)
+        assert np.array_equal(k.w, moment)
 
     def test_S_contraction_random(self):
         rng = np.random.default_rng(11)
         mesh = Mesh(h=0.5, a=-10.0, b=10.0)
         from fracheat.grid import GridFunction
 
+        kern = subordinated_kernel(0.6, mesh.h, 0.5, 0.8, mesh.n_points)
         for _ in range(100):
             u = GridFunction(mesh, rng.uniform(-1.0, 1.0, mesh.n_points))
-            v = subordinated_S_apply(u, 0.6, 0.5, 0.8)
-            assert v.sup_norm() <= u.sup_norm() + 1e-12
+            v = toeplitz_matvec(kern, u.values)
+            assert np.max(np.abs(v)) <= u.sup_norm() + 1e-12
 
     def test_P_bound_random(self):
         # ||P(t) g|| <= t^{alpha-1} ||g||
@@ -160,21 +167,18 @@ class TestSubordination:
 
         alpha = 0.7
         for t in (0.25, 1.0, 2.0):
+            kern = subordinated_kernel(0.6, mesh.h, alpha, t, mesh.n_points,
+                                       weighted_by_tau=True)
             for _ in range(34):
                 u = GridFunction(mesh, rng.uniform(-1.0, 1.0, mesh.n_points))
-                v = subordinated_P_apply(u, 0.6, alpha, t)
-                assert v.sup_norm() <= t ** (alpha - 1.0) * u.sup_norm() + 1e-12
+                v = alpha * t ** (alpha - 1.0) * toeplitz_matvec(kern, u.values)
+                assert np.max(np.abs(v)) <= t ** (alpha - 1.0) * u.sup_norm() + 1e-12
 
     @pytest.mark.parametrize("weighted_by_tau", [False, True])
     def test_kernel_rejects_negative_time(self, weighted_by_tau):
         # as frac_semigroup_kernel does, instead of a complex t ** alpha
         with pytest.raises(ValueError, match="t must be non-negative"):
             subordinated_kernel(0.6, 0.5, 0.5, -0.1, 8, weighted_by_tau=weighted_by_tau)
-
-    def test_P_rejects_zero_time(self):
-        mesh = Mesh(h=0.5, a=-10.0, b=10.0)
-        with pytest.raises(ValueError):
-            subordinated_P_apply(_gaussian(mesh), 0.6, 0.5, 0.0)
 
     @given(alpha=st.floats(0.2, 0.9), lam=st.floats(0.1, 4.0))
     @settings(max_examples=20, deadline=None)
