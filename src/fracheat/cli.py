@@ -17,7 +17,8 @@ the subcommand has no flag for is rejected.  The CSV report goes to --out
 (default stdout) unless no cell succeeded; aborted cells and fitted rates
 go to stderr.  Exit code is 0 on success, 1 if any study cell aborted and
 2 on a usage error, which includes settings the study refuses (an empty
-or repeated s or h list, a window outside the domain).
+or repeated s or h list, a window outside the domain, dt <= 0, an alpha
+outside (0, 1] or one the stepper cannot take).
 """
 
 from __future__ import annotations

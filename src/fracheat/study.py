@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .evolution import SchemeConfig, solve
+from .evolution import SchemeConfig, _check_stepper_alpha, solve
 from .grid import Mesh
 from .kernel import consistency_error
 from .problems import (
@@ -68,7 +68,12 @@ def _check_sweep(s_values, h_values, domain, window):
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Full description of one h-sweep study."""
+    """Full description of one h-sweep study.
+
+    Every setting that does not depend on the cell is checked here, so a
+    refused sweep raises ValueError before any cell runs; s is checked by
+    each cell's problem.
+    """
 
     problem: str = "example1"
     s_values: tuple = (0.4, 0.8)
@@ -89,6 +94,19 @@ class StudyConfig:
             raise ValueError("t_horizon must be positive")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        _problem_factory(self.problem)
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        scheme = self.scheme()  # refuses an unknown stepper and dt <= 0
+        if scheme.dt is not None:
+            scheme.n_steps(self.t_horizon)
+        _check_stepper_alpha(self.stepper, self.alpha)
+
+    def scheme(self):
+        """The SchemeConfig of every cell: mild_reference has no time step,
+        so it gets no dt."""
+        dt = None if self.stepper == "mild_reference" else self.dt
+        return SchemeConfig(stepper=self.stepper, dt=dt)
 
 
 @dataclass(frozen=True)
@@ -155,12 +173,12 @@ def _run_cell(cfg, s, h):
         mesh = _snapped_mesh(h, *cfg.domain)
     window = (max(cfg.window[0], mesh.a), min(cfg.window[1], mesh.b))
     problem = to_evolution_problem(manu, mesh, alpha=cfg.alpha, t_horizon=cfg.t_horizon)
-    # mild_reference has no time step: it gets none, and its rows carry dt = 0
-    dt = None if cfg.stepper == "mild_reference" else cfg.dt
-    traj = solve(problem, SchemeConfig(stepper=cfg.stepper, dt=dt),
-                 exact=manu.exact, window=window)
+    scheme = cfg.scheme()
+    traj = solve(problem, scheme, exact=manu.exact, window=window)
+    # mild_reference rows carry dt = 0
     return ErrorRecord(
-        problem=cfg.problem, s=s, alpha=cfg.alpha, h=h, dt=dt or 0.0, error=traj.sup_error,
+        problem=cfg.problem, s=s, alpha=cfg.alpha, h=h, dt=scheme.dt or 0.0,
+        error=traj.sup_error,
     )
 
 

@@ -1,16 +1,19 @@
 """The marching schemes reproduce, bit for bit, the algorithm they replaced.
 
 The library applies A with one cached kernel spectrum, runs its own CG
-loop and carries each step's final product A u into the next step.  None
-of that may change an output bit.  This module writes the plain
-algorithm out once more (scipy's cg on a LinearOperator, every product
-transforming the kernel afresh, no product reused) and requires equal
-solver logs and bitwise-equal final states, so an optimisation that
-changes bits fails here and not only in the benchmark's CSV check.
+loop and carries each linear step's final product A u into the next
+step.  None of that may change an output bit.  This module writes the
+plain algorithm out once more (scipy's cg on a LinearOperator, every
+product transforming the kernel afresh, no product reused) and requires
+equal solver logs and bitwise-equal final states, so an optimisation
+that changes bits fails here and not only in the benchmark's CSV check.
 The reference's Newton corrections pass scipy's cg the same forcing
-atol as the library's inexact Newton, so the semilinear march is held
-bitwise too; the same reference with atol = 0 (exact corrections) is the
-yardstick for the accuracy and the CG work that the forcing saves.
+atol as the library's inexact Newton, and start from the same
+extrapolation of the last five states, so the semilinear march is held
+bitwise too.  The same reference with atol = 0 (exact corrections) is
+the yardstick for the accuracy and the CG work that the forcing saves,
+and with Newton started from the previous state, the yardstick for what
+the extrapolation saves.
 The subordination quadrature's vectorised sum is held to its plain
 left-to-right loop the same way, the spectral sampler's in-place blocks
 to the plain exp(-outer) loop, the product's direct pocketfft calls to
@@ -119,11 +122,25 @@ def _reference_stage(kernel, shift, rhs, nonlin, x0, inexact=True):
     return u, _NEWTON_MAX_ITER, cg_total, res
 
 
-def _reference_solve(problem, cfg, inexact=True):
+# weights, newest state first, of the polynomial through k equally spaced
+# states evaluated one step on
+_EXTRAPOLATION = {
+    1: (1,),
+    2: (2, -1),
+    3: (3, -3, 1),
+    4: (4, -6, 4, -1),
+    5: (5, -10, 10, -5, 1),
+}
+
+
+def _reference_solve(problem, cfg, inexact=True, predict=True):
     """(log lines, final state, Newton tolerance of each step) of the
     march, without snapshots or errors.
 
-    inexact=False solves every Newton correction to _CG_RTOL."""
+    inexact=False solves every Newton correction to _CG_RTOL.  A Newton
+    stage starts from the extrapolation of the last five states, or with
+    predict=False from the previous state; a linear stage always starts
+    from the previous state."""
     mesh = problem.mesh
     n_steps = cfg.n_steps(problem.t_horizon)
     kernel = kernel_weights(problem.s, mesh.h, mesh.n_points)
@@ -131,6 +148,7 @@ def _reference_solve(problem, cfg, inexact=True):
     if cfg.stepper == "l1_caputo":
         b = caputo_l1_weights(problem.alpha, n_steps, cfg.dt)
         diffs = np.empty((n_steps, mesh.n_points))
+    past = [u]  # newest first
     log, tols = [], []
     for n in range(1, n_steps + 1):
         t = n * cfg.dt
@@ -140,10 +158,17 @@ def _reference_solve(problem, cfg, inexact=True):
         else:
             shift = b[0]
             rhs = b[0] * u - b[n - 1:0:-1] @ diffs[: n - 1] + problem.forcing_values(t)
-        u_new, ni, ci, res = _reference_stage(kernel, shift, rhs, problem.nonlinearity, u,
+        x0 = u
+        if predict and problem.nonlinearity is not None and len(past) > 1:
+            weights = _EXTRAPOLATION[len(past)]
+            x0 = weights[0] * past[0]
+            for c, v in zip(weights[1:], past[1:]):
+                x0 += c * v
+        u_new, ni, ci, res = _reference_stage(kernel, shift, rhs, problem.nonlinearity, x0,
                                               inexact)
         if cfg.stepper == "l1_caputo":
             diffs[n - 1] = u_new - u
+        past = [u_new] + past[:4]
         log.append(f"{n},{t:.10g},{ni},{ci},{res:.3e}")
         tols.append(_NEWTON_TOL * max(1.0, float(np.max(np.abs(rhs)))))
         u = u_new
@@ -174,14 +199,16 @@ def test_march_bitwise_equals_reference_algorithm(problem, cfg):
     assert traj.final.values.tobytes() == final.tobytes()
 
 
+_SEMILINEAR_BACKWARD_EULER = (
+    problems.semilinear_variant(problems.example1(0.6), Mesh(0.25, -10.0, 10.0),
+                                t_horizon=0.05),
+    SchemeConfig(stepper="backward_euler", dt=5e-3),
+)
+
+
 @pytest.mark.parametrize(
     "problem, cfg",
-    [
-        _SEMILINEAR_L1,
-        (problems.semilinear_variant(problems.example1(0.6), Mesh(0.25, -10.0, 10.0),
-                                     t_horizon=0.05),
-         SchemeConfig(stepper="backward_euler", dt=5e-3)),
-    ],
+    [_SEMILINEAR_L1, _SEMILINEAR_BACKWARD_EULER],
     ids=["semilinear-l1", "semilinear-backward-euler"],
 )
 def test_inexact_newton_keeps_accuracy_with_less_cg(problem, cfg):
@@ -202,6 +229,67 @@ def test_inexact_newton_keeps_accuracy_with_less_cg(problem, cfg):
     cg_inexact = sum(int(row[3]) for row in rows)
     cg_exact = sum(int(row.split(",")[3]) for row in exact_log)
     assert cg_inexact <= 0.6 * cg_exact
+
+
+def _iterations(log):
+    """(Newton iterations, CG products) of each logged step."""
+    rows = [row.split(",") for row in log]
+    return [int(row[2]) for row in rows], [int(row[3]) for row in rows]
+
+
+def _semilinear(m, mesh, stepper, dt, t_horizon, alpha=1.0):
+    return (problems.semilinear_variant(m, mesh, alpha=alpha, t_horizon=t_horizon),
+            SchemeConfig(stepper=stepper, dt=dt))
+
+
+@pytest.mark.parametrize(
+    "problem, cfg",
+    [
+        _semilinear(problems.example1(0.6), Mesh(0.25, -10.0, 10.0), "l1_caputo", 5e-3, 0.2,
+                    alpha=0.5),
+        _SEMILINEAR_BACKWARD_EULER,
+    ],
+    ids=["semilinear-l1", "semilinear-backward-euler"],
+)
+def test_predictor_saves_newton_and_cg(problem, cfg):
+    # starting Newton from the extrapolated states, not the previous state,
+    # must save at least 30% of the Newton iterations and 20% of the CG work
+    newton, cg_products = _iterations(solve(problem, cfg).log)
+    log, _, _ = _reference_solve(problem, cfg, predict=False)
+    newton_prev, cg_prev = _iterations(log)
+    assert sum(newton) <= 0.7 * sum(newton_prev)
+    assert sum(cg_products) <= 0.8 * sum(cg_prev)
+
+
+@pytest.mark.parametrize(
+    "problem, cfg",
+    [
+        _semilinear(problems.example1(0.6), Mesh(0.125, -50.0, 50.0), "l1_caputo", 1e-2, 0.5,
+                    alpha=0.3),
+        _semilinear(problems.example1(0.3), Mesh(0.25, -20.0, 20.0), "l1_caputo", 5e-2, 1.0,
+                    alpha=0.8),
+        _semilinear(problems.example2(0.7), Mesh(0.05, -0.95, 0.95), "l1_caputo", 1e-2, 0.5,
+                    alpha=0.5),
+        _semilinear(problems.example2(0.4), Mesh(0.025, -0.975, 0.975), "l1_caputo", 1e-3,
+                    0.2, alpha=0.9),
+        _semilinear(problems.example1(0.8), Mesh(0.25, -20.0, 20.0), "backward_euler", 1e-2,
+                    1.0),
+        _semilinear(problems.example1(0.6), Mesh(0.5, -20.0, 20.0), "backward_euler", 0.1,
+                    2.0),
+    ],
+    ids=["l1-example1-s0.6-a0.3", "l1-example1-s0.3-a0.8", "l1-example2-s0.7-a0.5",
+         "l1-example2-s0.4-a0.9", "be-example1-s0.8", "be-example1-s0.6-dt0.1"],
+)
+def test_predictor_keeps_the_answer(problem, cfg):
+    # with and without the predictor the march meets one Newton tolerance,
+    # so the states agree to the inexact-Newton test's bound, and no step
+    # may need more Newton iterations than the worst step without it
+    traj = solve(problem, cfg)
+    log, final, _ = _reference_solve(problem, cfg, predict=False)
+    assert np.max(np.abs(traj.final.values - final)) <= 1e-10 * np.max(np.abs(final))
+    newton, _ = _iterations(traj.log)
+    newton_prev, _ = _iterations(log)
+    assert max(newton) <= max(newton_prev)
 
 
 def test_cg_matches_scipy_on_criterion_11_system():

@@ -65,6 +65,23 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             StudyConfig(workers=0)
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"dt": 0.0}, "dt must be positive"),
+        ({"dt": -0.01}, "dt must be positive"),
+        ({"alpha": 0.5}, "backward Euler requires alpha = 1"),
+        ({"stepper": "l1_caputo"}, "the L1 scheme requires alpha < 1"),
+        ({"alpha": 1.5, "stepper": "mild_reference"}, r"alpha must lie in \(0, 1\]"),
+        ({"dt": 0.03, "t_horizon": 0.1}, "integer number of steps"),
+        ({"problem": "example3"}, "unknown problem"),
+    ])
+    def test_rejects_scheme_settings_before_any_cell(self, settings, message):
+        # each would fail in every cell; the sweep refuses it up front
+        with pytest.raises(ValueError, match=message):
+            StudyConfig(**settings)
+
+    def test_mild_reference_ignores_dt(self):
+        assert StudyConfig(stepper="mild_reference", alpha=0.5, dt=0.0).scheme().dt is None
+
 
 class TestSnappedMesh:
     def test_never_widens(self):
@@ -244,6 +261,16 @@ class TestCli:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "error: consistency:" in err
+
+    def test_refused_dt_exits_2_and_writes_no_file(self, tmp_path, capsys):
+        out_path = tmp_path / "study.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["study", "--problem", "example2", "--s", "0.5", "--h", "0.2,0.1",
+                      "--dt", "0", "--T", "0.1", "--domain=-1,1", "--window=-0.5,0.5",
+                      "--out", str(out_path)])
+        assert exc.value.code == 2
+        assert not out_path.exists()
+        assert "dt must be positive" in capsys.readouterr().err
 
     def test_consistency_stdout_csv(self, capsys):
         rc = cli_main([
