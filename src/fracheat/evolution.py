@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -113,17 +113,11 @@ class SchemeConfig:
     """Numerical parameters of a run.
 
     stepper is one of "backward_euler", "l1_caputo" (both need dt > 0)
-    and "mild_reference" (no time step, so no dt); snapshot_times must
-    lie in [0, t_horizon].  Every stepper keys each snapshot by the
-    requested time it answers: the marching steppers store the state at
-    the nearest step under that time, so two requested times that round
-    to one step get one key each, and mild_reference evaluates at the
-    requested time itself and also stores t_horizon.
+    and "mild_reference" (no time step, so no dt).
     """
 
     stepper: str
     dt: Optional[float] = None
-    snapshot_times: tuple = ()
 
     def __post_init__(self):
         if self.stepper not in ("backward_euler", "l1_caputo", "mild_reference"):
@@ -140,12 +134,13 @@ class SchemeConfig:
 
 @dataclass
 class Trajectory:
-    """Output of a run: snapshots, running error, and a solver log."""
+    """Output of a run: the state at t_horizon, the sup-norm error over
+    every state produced (None without an exact solution), and the
+    solver log, one line per step."""
 
-    snapshots: dict = field(default_factory=dict)
-    sup_error: Optional[float] = None
-    log: list = field(default_factory=list)
-    final: Optional[GridFunction] = None
+    final: GridFunction
+    sup_error: Optional[float]
+    log: list
 
 
 def _n_steps(horizon, dt):
@@ -273,22 +268,24 @@ def _implicit_stage(kernel, shift, rhs, nonlin, x0, ax0, t):
     n = len(rhs)
     scratch = np.empty(n)
 
+    def linear(v):
+        # shift v + A v, summed in place into the fresh product
+        out = toeplitz_matvec(kernel, v)
+        out += np.multiply(shift, v, out=scratch)
+        return out
+
     def jacobian(diag):
-        # (shift v + A v) + diag v, summed in place into the fresh product
+        # (shift v + A v) + diag v
         def apply(v):
-            out = toeplitz_matvec(kernel, v)
-            out += np.multiply(shift, v, out=scratch)
+            out = linear(v)
             out += np.multiply(diag, v, out=scratch)
             return out
 
         return apply
 
     if nonlin is None:
-        # adding the zero diagonal can flip the sign of a zero entry, so it
-        # stays to keep every output bit of the original operator
-        diag = np.zeros(n)
-        jx0 = None if ax0 is None else shift * x0 + ax0 + diag * x0
-        u, cg_total = _cg(jacobian(diag), rhs, x0, jx0, _CG_RTOL, t)
+        jx0 = None if ax0 is None else shift * x0 + ax0
+        u, cg_total = _cg(linear, rhs, x0, jx0, _CG_RTOL, t)
         au = toeplitz_matvec(kernel, u)
         res = shift * u + au - rhs
         return u, 0, cg_total, float(np.max(np.abs(res))), au
@@ -332,41 +329,30 @@ def solve(problem, cfg, exact=None, window=None):
     """Run the problem to t_horizon and return a Trajectory.
 
     The marching steppers step from t = 0 by cfg.dt; mild_reference calls
-    evaluate_mild at the sorted distinct snapshot times and t_horizon.
-    exact, if given, has signature exact(t, x); sup_error is the sup-norm
-    error against it (over the window, default the whole mesh) over every
-    state produced.  Snapshot times outside [0, t_horizon] are rejected
-    (keys: see SchemeConfig); final is the t_horizon snapshot if there is
-    one.  Log lines read ``step,t,newton_iters,cg_iters,residual``, and
-    ``step,t,0,0,0.0e+00`` for mild_reference.
+    evaluate_mild once, at t_horizon.  final is the last state.  exact, if
+    given, has signature exact(t, x); sup_error is the sup-norm error
+    against it (over the window, default the whole mesh) over every state
+    produced, t = 0 included for the marching steppers.  Log lines read
+    ``step,t,newton_iters,cg_iters,residual``, and ``1,T,0,0,0.0e+00``
+    for mild_reference.
     """
-    for t_req in cfg.snapshot_times:
-        if not 0.0 <= t_req <= problem.t_horizon:
-            raise ValueError(
-                f"snapshot time {t_req:g} lies outside [0, {problem.t_horizon:g}]"
-            )
     if cfg.stepper == "mild_reference":
-        times = sorted({float(t) for t in cfg.snapshot_times} | {float(problem.t_horizon)})
-        states = ((t, evaluate_mild(problem, t).values, (t,), f"{step},{t:.10g},0,0,0.0e+00")
-                  for step, t in enumerate(times, start=1))
+        t = float(problem.t_horizon)
+        states = [(t, evaluate_mild(problem, t).values, f"1,{t:.10g},0,0,0.0e+00")]
     else:
         states = _march(problem, cfg)
 
     mesh = problem.mesh
     sel = mesh.window_slice(*window) if window is not None else slice(None)
     x_win = mesh.nodes[sel]
-    traj = Trajectory()
-    for t, u, keys, row in states:
+    sup_error, log = None, []
+    for t, u, row in states:
         if row is not None:
-            traj.log.append(row)
+            log.append(row)
         if exact is not None:
             err = float(np.max(np.abs(u[sel] - exact(t, x_win))))
-            traj.sup_error = err if traj.sup_error is None else max(traj.sup_error, err)
-        for t_req in keys:
-            traj.snapshots[t_req] = GridFunction(mesh, u.copy())
-    final = traj.snapshots.get(problem.t_horizon)
-    traj.final = GridFunction(mesh, u) if final is None else final
-    return traj
+            sup_error = err if sup_error is None else max(sup_error, err)
+    return Trajectory(GridFunction(mesh, u), sup_error, log)
 
 
 def _check_stepper_alpha(stepper, alpha):
@@ -391,8 +377,8 @@ def _extrapolate(states):
 
 
 def _march(problem, cfg):
-    """Backward Euler or L1 marching: yield (t, u, snapshot keys, log
-    row) for t = 0 (no log row) and then for each step.
+    """Backward Euler or L1 marching: yield (t, u, log row) for t = 0
+    (log row None) and then for each step; each u is a fresh array.
 
     A linear stage starts from the previous state and its carried product
     A u; a Newton stage starts from the extrapolation of the last
@@ -402,16 +388,12 @@ def _march(problem, cfg):
     n_steps = cfg.n_steps(problem.t_horizon)
     kernel = kernel_weights(problem.s, mesh.h, mesh.n_points)
 
-    snap_steps = {}  # step -> the requested times it answers
-    for t_req in cfg.snapshot_times:
-        snap_steps.setdefault(round(t_req / cfg.dt), []).append(float(t_req))
-
     nonlin = problem.nonlinearity
     u = problem.u0.values.copy()
     au = None  # A u, carried from each linear step's residual into the next
     # the last states, newest first, that a Newton stage extrapolates
     states = None if nonlin is None else deque([u], maxlen=_PREDICTOR_STATES)
-    yield 0.0, u, snap_steps.get(0, ()), None
+    yield 0.0, u, None
 
     if cfg.stepper == "l1_caputo":
         b = caputo_l1_weights(problem.alpha, n_steps, cfg.dt)
@@ -430,7 +412,7 @@ def _march(problem, cfg):
             diffs[n - 1] = u_new - u
         if states is not None:
             states.appendleft(u_new)
-        yield t, u_new, snap_steps.get(n, ()), f"{n},{t:.10g},{ni},{ci},{res:.3e}"
+        yield t, u_new, f"{n},{t:.10g},{ni},{ci},{res:.3e}"
         u = u_new
 
 
@@ -485,11 +467,12 @@ def evaluate_mild(problem, t):
 # Scalar L1 scheme (single-mode relaxation, used as an ODE-level check)
 # ---------------------------------------------------------------------------
 
-def solve_scalar_l1(alpha, lam, t_final, dt, u0=1.0):
-    """L1 marching for the scalar relaxation d_t^alpha y + lam y = 0.
+def solve_scalar_l1(alpha, lam, t_final, dt):
+    """L1 marching for the scalar relaxation d_t^alpha y + lam y = 0 from
+    y(0) = 1.
 
     Returns (times, values) including t = 0.  The exact solution is
-    u0 * E_alpha(-lam t^alpha).  Raises ValueError unless dt > 0 and
+    E_alpha(-lam t^alpha).  Raises ValueError unless dt > 0 and
     t_final is a positive whole number of steps.
     """
     if not dt > 0.0:
@@ -497,7 +480,7 @@ def solve_scalar_l1(alpha, lam, t_final, dt, u0=1.0):
     n_steps = _n_steps(t_final, dt)
     b = caputo_l1_weights(alpha, n_steps, dt)
     ys = np.empty(n_steps + 1)
-    ys[0] = float(u0)
+    ys[0] = 1.0
     diffs = np.empty(n_steps)
     for n in range(1, n_steps + 1):
         y = (b[0] * ys[n - 1] - _l1_history(b, diffs, n)) / (b[0] + lam)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -103,12 +104,11 @@ class TestBackwardEuler:
         prob = EvolutionProblem(
             s=0.7, alpha=1.0, mesh=mesh,
             u0=GridFunction(mesh, rng.uniform(-1.0, 1.0, mesh.n_points)),
-            t_horizon=0.2,
         )
-        traj = solve(prob, SchemeConfig(stepper="backward_euler", dt=0.02,
-                                        snapshot_times=(0.02, 0.1, 0.2)))
+        cfg = SchemeConfig(stepper="backward_euler", dt=0.02)
         norms = [prob.u0.sup_norm()] + [
-            traj.snapshots[t].sup_norm() for t in sorted(traj.snapshots)
+            solve(dataclasses.replace(prob, t_horizon=t), cfg).final.sup_norm()
+            for t in (0.02, 0.1, 0.2)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
@@ -207,16 +207,12 @@ class TestMildReference:
     def test_solve_evaluates_the_mild_solution(self):
         prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
                                     alpha=0.6, t_horizon=0.2)
-        # against zero the error is sup |u(t)|, which is larger at t = 0.1
-        # than at T, so a sup error taken at T alone fails
-        traj = solve(prob, SchemeConfig(stepper="mild_reference", snapshot_times=(0.1,)),
+        # against zero the error is sup |u(T)|
+        traj = solve(prob, SchemeConfig(stepper="mild_reference"),
                      exact=lambda t, x: np.zeros_like(x))
-        assert sorted(traj.snapshots) == [0.1, 0.2]
-        for t, snap in traj.snapshots.items():
-            assert np.array_equal(snap.values, evaluate_mild(prob, t).values)
-        assert traj.final is traj.snapshots[0.2]
-        assert traj.sup_error == traj.snapshots[0.1].sup_norm() > traj.final.sup_norm()
-        assert traj.log == ["1,0.1,0,0,0.0e+00", "2,0.2,0,0,0.0e+00"]
+        assert traj.final.values.tobytes() == evaluate_mild(prob, 0.2).values.tobytes()
+        assert traj.sup_error == traj.final.sup_norm()
+        assert traj.log == ["1,0.2,0,0,0.0e+00"]
 
     @pytest.mark.parametrize("stepper,dt", [
         ("mild_reference", 0.1), ("backward_euler", None), ("l1_caputo", 0.0),
@@ -263,62 +259,6 @@ class TestTrajectory:
             step, t, ni, ci, res = line.split(",")
             assert int(step) >= 1 and float(t) > 0.0
             assert int(ni) >= 0 and int(ci) >= 0 and float(res) >= 0.0
-
-
-def _dt(stepper, dt):
-    # mild_reference has no time step and takes none
-    return None if stepper == "mild_reference" else dt
-
-
-class TestSnapshotTimes:
-    @pytest.mark.parametrize("stepper,alpha,bad", [
-        ("backward_euler", 1.0, 0.5),
-        ("backward_euler", 1.0, -3.0),
-        ("l1_caputo", 0.5, -0.1),
-        ("mild_reference", 0.7, 0.5),
-        ("mild_reference", 0.5, -0.1),
-    ])
-    def test_outside_the_horizon_rejected(self, stepper, alpha, bad):
-        prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
-                                    alpha=alpha, t_horizon=0.2)
-        cfg = SchemeConfig(stepper=stepper, dt=_dt(stepper, 0.1), snapshot_times=(0.1, bad))
-        with pytest.raises(ValueError, match=f"snapshot time {bad:g} "):
-            solve(prob, cfg)
-
-    @pytest.mark.parametrize("stepper,alpha", [
-        ("backward_euler", 1.0), ("l1_caputo", 0.5), ("mild_reference", 0.5),
-    ])
-    def test_both_ends_of_the_horizon_accepted(self, stepper, alpha):
-        prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
-                                    alpha=alpha, t_horizon=0.2)
-        traj = solve(prob, SchemeConfig(stepper=stepper, dt=_dt(stepper, 0.1),
-                                        snapshot_times=(0.0, 0.2)))
-        assert sorted(traj.snapshots) == [0.0, 0.2]
-        assert np.array_equal(traj.snapshots[0.0].values, prob.u0.values)
-
-    @pytest.mark.parametrize("stepper,alpha", [
-        ("backward_euler", 1.0), ("l1_caputo", 0.5), ("mild_reference", 0.5),
-    ])
-    def test_keyed_by_requested_time(self, stepper, alpha):
-        # 0.05 and 0.06 fall between the steps 0.04 and 0.08
-        prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
-                                    alpha=alpha, t_horizon=0.2)
-        traj = solve(prob, SchemeConfig(stepper=stepper, dt=_dt(stepper, 0.04),
-                                        snapshot_times=(0.05, 0.06)))
-        assert traj.snapshots[0.05].mesh == prob.mesh
-        extra = [0.2] if stepper == "mild_reference" else []
-        assert sorted(traj.snapshots) == [0.05, 0.06] + extra
-
-    @pytest.mark.parametrize("stepper,alpha", [("backward_euler", 1.0), ("l1_caputo", 0.5)])
-    def test_times_sharing_a_step_keep_their_keys(self, stepper, alpha):
-        prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
-                                    alpha=alpha, t_horizon=0.2)
-        traj = solve(prob, SchemeConfig(stepper=stepper, dt=0.04,
-                                        snapshot_times=(0.04, 0.05, 0.2)))
-        assert sorted(traj.snapshots) == [0.04, 0.05, 0.2]
-        assert np.array_equal(traj.snapshots[0.04].values, traj.snapshots[0.05].values)
-        assert traj.snapshots[0.04] is not traj.snapshots[0.05]
-        assert np.array_equal(traj.snapshots[0.2].values, traj.final.values)
 
 
 class TestNonlinearity:

@@ -11,6 +11,8 @@ import pytest
 
 from fracheat.cli import main as cli_main
 from fracheat.study import (
+    DESK_SCALE,
+    PAPER_SCALE,
     ErrorRecord,
     RateEstimate,
     StudyConfig,
@@ -271,6 +273,21 @@ class TestCli:
         assert exc.value.code == 2
         assert not out_path.exists()
         assert "dt must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,domain,window", [
+        (["--paper-scale"], PAPER_SCALE["domain"], PAPER_SCALE["window"]),
+        (["--paper-scale", "--domain=-200,200"], (-200.0, 200.0), PAPER_SCALE["window"]),
+        (["--window=-5,5", "--paper-scale"], PAPER_SCALE["domain"], (-5.0, 5.0)),
+        (["--paper-scale", "false"], DESK_SCALE["domain"], DESK_SCALE["window"]),
+    ])
+    def test_paper_scale_fills_only_unset_domain_and_window(self, monkeypatch, flags,
+                                                            domain, window):
+        # an empty result runs no cell and writes no CSV
+        seen = []
+        monkeypatch.setattr("fracheat.cli.run_study",
+                            lambda cfg: seen.append(cfg) or StudyResult())
+        assert cli_main(["study", *flags]) == 0
+        assert [(cfg.domain, cfg.window) for cfg in seen] == [(domain, window)]
 
     def test_consistency_stdout_csv(self, capsys):
         rc = cli_main([
