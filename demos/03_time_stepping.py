@@ -1,5 +1,5 @@
 """Demo 3: time stepping — backward Euler, the L1 Caputo scheme, and the
-mild (subordination) reference integrator.
+mild reference integrator on the same truncated operator.
 
 Solves the homogeneous problem from a Gaussian bump with each scheme and
 cross-checks them: backward Euler converges to the mild solution at
@@ -26,7 +26,6 @@ from fracheat import (
 def main():
     mesh = Mesh(h=0.25, a=-40.0, b=40.0)
     u0 = restrict(lambda x: math.exp(-x * x / 4.0), mesh)
-    sl = mesh.window_slice(-10.0, 10.0)
 
     # --- backward Euler vs the mild reference (alpha = 1) ------------------
     prob = EvolutionProblem(s=0.6, alpha=1.0, mesh=mesh, u0=u0, t_horizon=0.5)
@@ -35,7 +34,7 @@ def main():
     prev = None
     for dt in (1e-2, 5e-3, 2.5e-3):
         traj = solve(prob, SchemeConfig(stepper="backward_euler", dt=dt))
-        gap = np.max(np.abs(traj.final.values[sl] - ref.values[sl]))
+        gap = np.max(np.abs(traj.final.values - ref.values))
         note = "" if prev is None else f"  ratio {prev / gap:.2f}"
         print(f"  dt={dt}: gap {gap:.3e}{note}")
         prev = gap
@@ -53,9 +52,9 @@ def main():
                                  t_horizon=0.5)
     traj = solve(prob_frac, SchemeConfig(stepper="l1_caputo", dt=2e-3))
     mild = evaluate_mild(prob_frac, 0.5)
-    gap = np.max(np.abs(traj.final.values[sl] - mild.values[sl]))
-    print(f"\nL1 on the lattice (s=0.6, alpha=0.7) vs subordination mild "
-          f"solution at t=0.5: gap {gap:.3e}")
+    gap = np.max(np.abs(traj.final.values - mild.values))
+    print(f"\nL1 (s=0.6, alpha=0.7) vs the mild solution of the "
+          f"truncated operator at t=0.5: gap {gap:.3e}")
 
 
 if __name__ == "__main__":

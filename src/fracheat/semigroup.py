@@ -18,7 +18,9 @@ kernel is the plain lattice heat kernel e^{-x} I_n(x), x = 2t/h^2.  All
 kernels are non-negative; all but the tau-weighted one have total mass
 at most one (sub-Markov), so their operators are sup-norm contractions.
 Kernels are built afresh on every call and applied by the caller with
-kernel.toeplitz_matvec; the library never asks for the same kernel twice.
+kernel.toeplitz_matvec.  They are the paper's whole-lattice objects; the
+library's own mild reference (evolution.evaluate_mild) solves the
+truncated problem in its eigenbasis instead and builds none of them.
 """
 
 from __future__ import annotations

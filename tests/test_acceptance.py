@@ -305,10 +305,6 @@ class TestCriterion9TimeStepping:
         t0 = time.perf_counter()
         mesh = Mesh(h=0.25, a=-40.0, b=40.0)
         u0 = restrict(lambda x: math.exp(-x * x / 4.0), mesh)
-        # interior window: at the boundary nodes the marching scheme and the
-        # mild reference clip the heavy kernel tail differently, leaving a
-        # dt-independent O(1e-4) gap that would mask the fitted order
-        sl = mesh.window_slice(-10.0, 10.0)
         dts = (4e-3, 2e-3, 1e-3)
         orders = {}
         for tchk in (0.25, 0.5, 1.0):
@@ -321,7 +317,7 @@ class TestCriterion9TimeStepping:
                                         t_horizon=T)
                 traj = solve(prob, SchemeConfig(stepper="backward_euler", dt=dt))
                 ref = evaluate_mild(prob, T)
-                gaps.append(float(np.max(np.abs(traj.final.values[sl] - ref.values[sl]))))
+                gaps.append(float(np.max(np.abs(traj.final.values - ref.values))))
             order = float(np.polyfit(np.log(dts), np.log(gaps), 1)[0])
             assert order == pytest.approx(1.0, abs=0.2)
             orders[tchk] = order

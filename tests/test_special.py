@@ -221,7 +221,7 @@ assert wright_phi(0.5, 10.0) > 0.0          # integral branch
 assert subordinated_kernel(0.5, 0.5, 0.5, 0.1, 8).w[0] > 0.0
 prob = to_evolution_problem(example2(0.9), Mesh(0.25, -0.75, 0.75), alpha=0.5, t_horizon=0.05)
 assert evaluate_mild(prob, 0.05).values.max() > 0.0
-loaded = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+loaded = [m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg") if m in sys.modules]
 assert not loaded, loaded
 """
 
@@ -229,7 +229,9 @@ assert not loaded, loaded
 def test_subordination_path_leaves_integrate_out():
     # the Wright density's trapezoid rule runs in numpy, so the whole
     # subordination path (quadrature, kernels, mild solution) loads neither
-    # scipy.integrate nor the scipy.optimize it would pull in
+    # scipy.integrate nor the scipy.optimize it would pull in; the mild
+    # solution's eigendecomposition is numpy's, so scipy.linalg (and its
+    # import time) stays out too
     run = _run_fresh(_SUBORDINATION_FOOTPRINT_SCRIPT)
     assert run.returncode == 0, run.stderr
 
