@@ -20,7 +20,7 @@ from fracheat.evolution import (
 from fracheat.grid import GridFunction, Mesh, restrict
 from fracheat.kernel import apply_operator, kernel_weights, toeplitz_matvec
 from fracheat.problems import example2, to_evolution_problem
-from fracheat.special import mittag_leffler
+from fracheat.special import SeriesConvergenceError, mittag_leffler
 
 
 def _gaussian(mesh):
@@ -229,6 +229,15 @@ class TestMildReference:
                                     alpha=0.5, t_horizon=0.2)
         with pytest.raises(ValueError, match="t must be non-negative"):
             evaluate_mild(prob, -0.1)
+
+    def test_refuses_modes_past_the_wright_limit(self):
+        # s = 0.9, h = 0.0125: t^alpha max(lambda) is about 4,200 at t = 0.2,
+        # where the Wright sum is off by a large fraction of E_alpha itself
+        h = 0.0125
+        prob = to_evolution_problem(example2(0.9), Mesh(h=h, a=-1.0 + h, b=1.0 - h),
+                                    alpha=0.5, t_horizon=0.2)
+        with pytest.raises(SeriesConvergenceError, match="past its limit 100"):
+            evaluate_mild(prob, 0.2)
 
     def test_rejects_nonlinearity(self):
         mesh = Mesh(h=0.5, a=-5.0, b=5.0)

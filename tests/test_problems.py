@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -29,7 +30,7 @@ class TestExample1:
         s = 0.4
         m = example1(s)
         c = 4.0 ** s * math.gamma(0.5 + s) / math.gamma(0.5 - s)
-        assert m.forcing(0.0, np.array([0.0]))[0] == pytest.approx(-1.0 + c, rel=1e-14)
+        assert m.source(np.array([0.0]))[0] == pytest.approx(-1.0 + c, rel=1e-14)
 
     def test_time_separability(self):
         m = example1(0.7)
@@ -67,12 +68,10 @@ class TestExample2:
     def test_normalization_constant(self):
         s = 0.6
         m = example2(s)
-        # forcing inside reduces to -u + e^{-t} exactly when the profile
+        # the source inside reduces to -U + 1 exactly when the profile
         # carries 1/getoor_constant
         x = np.array([0.3])
-        f = m.forcing(0.5, x)
-        u = m.exact(0.5, x)
-        assert f[0] == pytest.approx(-u[0] + math.exp(-0.5), rel=1e-14)
+        assert m.source(x)[0] == pytest.approx(-m.profile(x)[0] + 1.0, rel=1e-14)
         assert m.exact(0.0, np.array([0.0]))[0] == pytest.approx(
             1.0 / getoor_constant(s), rel=1e-14)
 
@@ -86,7 +85,7 @@ class TestExample2:
 
     def test_forcing_zero_outside(self):
         m = example2(0.3)
-        assert np.all(m.forcing(0.2, np.array([-2.0, 1.0, 3.0])) == 0.0)
+        assert np.all(m.source(np.array([-2.0, 1.0, 3.0])) == 0.0)
 
     @given(s=st.floats(0.05, 0.95))
     @settings(max_examples=25, deadline=None)
@@ -116,7 +115,92 @@ class TestToEvolutionProblem:
         m = example1(0.4)
         mesh = Mesh(h=0.5, a=-5.0, b=5.0)
         prob = to_evolution_problem(m, mesh)
-        assert np.allclose(prob.forcing_values(0.7), m.forcing(0.7, mesh.nodes))
+        assert prob.forcing_values(0.7).tobytes() == (m.tau(0.7) * m.source(mesh.nodes)).tobytes()
+
+    def test_profile_and_source_sampled_once_per_mesh(self):
+        # 10-step solves on two meshes, one linear and one semilinear: every
+        # step only rescales the samples taken when the problem was built
+        calls = {"profile": 0, "source": 0}
+
+        def counted(name, fn):
+            def wrapper(x):
+                calls[name] += 1
+                return fn(x)
+            return wrapper
+
+        m = example1(0.4)
+        m = dataclasses.replace(m, profile=counted("profile", m.profile),
+                                source=counted("source", m.source))
+        for build, h in ((to_evolution_problem, 0.5), (semilinear_variant, 0.25)):
+            prob = build(m, Mesh(h=h, a=-5.0, b=5.0), t_horizon=0.1)
+            traj = solve(prob, SchemeConfig(stepper="backward_euler", dt=0.01))
+            assert len(traj.log) == 10
+        assert calls == {"profile": 2, "source": 2}
+
+
+def _closures_before_factoring(name, s):
+    """exact(t, x) and forcing(t, x) of the examples as they were written
+    before the (tau, U, G) factoring: each closure applied e^{-t} itself
+    and sampled the profile afresh on every call."""
+    if name == "example1":
+        c = 4.0 ** s * math.gamma(0.5 + s) / math.gamma(0.5 - s)
+
+        def exact(t, x):
+            return math.exp(-t) * (1.0 + x * x) ** (s - 0.5)
+
+        def forcing(t, x):
+            return math.exp(-t) * (
+                -((1.0 + x * x) ** (s - 0.5)) + c * (1.0 + x * x) ** (-(0.5 + s))
+            )
+    else:
+        c = 1.0 / getoor_constant(s)
+
+        def exact(t, x):
+            return c * math.exp(-t) * np.maximum(1.0 - x * x, 0.0) ** s
+
+        def forcing(t, x):
+            inside = np.abs(x) < 1.0
+            return np.where(inside, -exact(t, x) + math.exp(-t), 0.0)
+
+    return exact, forcing
+
+
+class TestForcingBeforeFactoring:
+    TIMES = (0.0, 0.013, 0.25, 0.5, 1.7)
+
+    def test_example1_is_bitwise_unchanged(self):
+        mesh = Mesh(h=0.25, a=-20.0, b=20.0)
+        exact, forcing = _closures_before_factoring("example1", 0.6)
+        m = example1(0.6)
+        prob = to_evolution_problem(m, mesh)
+        x = mesh.nodes
+        assert prob.u0.values.tobytes() == exact(0.0, x).tobytes()
+        for t in self.TIMES:
+            assert prob.forcing_values(t).tobytes() == forcing(t, x).tobytes(), t
+            assert m.exact(t, x).tobytes() == exact(t, x).tobytes(), t
+
+    def test_semilinear_example1_is_bitwise_unchanged(self):
+        # the semilinear forcing was forcing + exact^3
+        mesh = Mesh(h=0.25, a=-20.0, b=20.0)
+        exact, forcing = _closures_before_factoring("example1", 0.6)
+        prob = semilinear_variant(example1(0.6), mesh, alpha=0.5)
+        x = mesh.nodes
+        assert prob.u0.values.tobytes() == exact(0.0, x).tobytes()
+        for t in self.TIMES:
+            want = forcing(t, x) + exact(t, x) ** 3
+            assert prob.forcing_values(t).tobytes() == want.tobytes(), t
+
+    def test_example2_moves_only_at_rounding_level(self):
+        # e - (c e) P became e (1 - c P): measured at most 3.1e-16 apart
+        mesh = Mesh(h=0.05, a=-0.95, b=0.95)
+        exact, forcing = _closures_before_factoring("example2", 0.7)
+        m = example2(0.7)
+        prob = to_evolution_problem(m, mesh)
+        x = mesh.nodes
+        assert np.max(np.abs(prob.u0.values - exact(0.0, x))) <= 1e-15
+        for t in self.TIMES:
+            assert np.max(np.abs(prob.forcing_values(t) - forcing(t, x))) <= 1e-15, t
+            assert np.max(np.abs(m.exact(t, x) - exact(t, x))) <= 1e-15, t
 
 
 class TestSemilinearVariant:
