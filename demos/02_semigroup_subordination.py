@@ -8,15 +8,13 @@ gives an exact cross-check.  Run:
     python3 demos/02_semigroup_subordination.py
 """
 
-import math
-
 import numpy as np
 
 from fracheat import (
+    GridFunction,
     Mesh,
     frac_semigroup_kernel,
     mittag_leffler,
-    restrict,
     subordinate_scalar_S,
     toeplitz_matvec,
     wright_phi,
@@ -33,7 +31,7 @@ def main():
           f"mass {kern.mass():.12f} (sub-Markov)")
 
     mesh = Mesh(h=h, a=-30.0, b=30.0)
-    u = restrict(lambda x: math.exp(-x * x / 4.0), mesh)
+    u = GridFunction(mesh, np.exp(-mesh.nodes ** 2 / 4.0))
     v = toeplitz_matvec(frac_semigroup_kernel(s, h, t, mesh.n_points), u.values)
     print(f"sup norm: u0 {u.sup_norm():.6f} -> T(t)u0 {np.max(np.abs(v)):.6f} "
           f"(contraction)")

@@ -7,17 +7,15 @@ first order in dt, and the scalar L1 scheme tracks the Mittag-Leffler
 decay.  Run:  python3 demos/03_time_stepping.py
 """
 
-import math
-
 import numpy as np
 
 from fracheat import (
     EvolutionProblem,
+    GridFunction,
     Mesh,
     SchemeConfig,
     evaluate_mild,
     mittag_leffler,
-    restrict,
     solve,
     solve_scalar_l1,
 )
@@ -25,7 +23,7 @@ from fracheat import (
 
 def main():
     mesh = Mesh(h=0.25, a=-40.0, b=40.0)
-    u0 = restrict(lambda x: math.exp(-x * x / 4.0), mesh)
+    u0 = GridFunction(mesh, np.exp(-mesh.nodes ** 2 / 4.0))
 
     # --- backward Euler vs the mild reference (alpha = 1) ------------------
     prob = EvolutionProblem(s=0.6, alpha=1.0, mesh=mesh, u0=u0, t_horizon=0.5)

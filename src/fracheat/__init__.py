@@ -6,10 +6,9 @@ subordinated semigroup solution operators plus a convergence-study
 harness with manufactured solutions.
 """
 
-from .grid import GridFunction, Mesh, restrict
+from .grid import GridFunction, Mesh
 from .kernel import (
     SymmetricKernel,
-    apply_operator,
     consistency_error,
     frac_laplacian_constant,
     kernel_weights,

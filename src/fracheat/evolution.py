@@ -42,7 +42,6 @@ import numpy as np
 
 from .grid import GridFunction, Mesh
 from .kernel import kernel_weights, toeplitz_matvec
-from .special import SeriesConvergenceError
 from . import semigroup as sg
 
 __all__ = [
@@ -425,13 +424,6 @@ def _march(problem, cfg):
 _MILD_GL_ORDER = 6
 _MILD_PANELS = 8
 
-# Largest z = q^alpha max(lam) at which the Wright sum of
-# subordination_quadrature is trusted for E_alpha(-z).  Its absolute error
-# against mittag_leffler at alpha in {0.3, 0.5, 0.8} is at most 3.3e-10 at
-# z = 100, 1.6e-8 to 6.6e-8 at z = 150 and 3.9e-5 to 1.4e-4 at z = 500.
-_WRIGHT_Z_MAX = 100.0
-
-
 def _mode_propagator(alpha, q, lam, weighted_by_tau):
     """Multipliers of a mild propagator on the modes of eigenvalues lam.
 
@@ -442,16 +434,11 @@ def _mode_propagator(alpha, q, lam, weighted_by_tau):
     caller's substitution v = q^alpha absorbs): E_alpha(-q^alpha lam)
     and E_{alpha,alpha}(-q^alpha lam) / alpha up to quadrature error.
     Raises SeriesConvergenceError at alpha < 1 once z = q^alpha max(lam)
-    exceeds _WRIGHT_Z_MAX, where that error grows past 3.3e-10.
+    exceeds semigroup._WRIGHT_Z_MAX, where that error grows past 3.3e-10.
     """
     if alpha == 1.0:
         return np.exp(-q * lam)
-    z = q ** alpha * float(np.max(lam))
-    if z > _WRIGHT_Z_MAX:
-        raise SeriesConvergenceError(
-            f"the Wright quadrature cannot resolve E_alpha(-z) at z = t^alpha max(lambda) "
-            f"= {z:.4g}, past its limit {_WRIGHT_Z_MAX:g} (alpha = {alpha}, t = {q:.10g})"
-        )
+    sg._check_wright_z(alpha, q, q ** alpha * float(np.max(lam)))
     quadr = sg.subordination_quadrature(alpha)
     factors = quadr.weights * quadr.phi
     if weighted_by_tau:
@@ -502,7 +489,7 @@ def evaluate_mild(problem, t):
     The forcing's memory integral is a fixed composite Gauss rule,
     _MILD_PANELS panels of _MILD_GL_ORDER nodes in v = q^alpha on [0, t^alpha].
     At alpha < 1 the modes are propagated by a Wright sum that resolves
-    E_alpha(-z) only up to z = t^alpha max(lambda) = 100 (_WRIGHT_Z_MAX);
+    E_alpha(-z) only up to z = t^alpha max(lambda) = 100 (semigroup._WRIGHT_Z_MAX);
     past it the call raises SeriesConvergenceError.  max(lambda) grows
     like 4^s / h^{2s}, so fine meshes at s near 1 meet the limit first.
 

@@ -1,11 +1,11 @@
-"""Uniform 1D meshes, grid functions with zero exterior extension, and
-the restriction of continuous profiles onto mesh nodes.
+"""Uniform 1D meshes and grid functions with zero exterior extension.
 
 A mesh is the portion of the uniform lattice {jh : j integer} that falls
 in a truncation interval [a, b]; grid functions carry one value per node
-and are implicitly zero outside the interval.  Grid functions have no
-file format: the one report the package writes is the study CSV
-(study.emit_csv).
+and are implicitly zero outside the interval.  A continuous profile F is
+sampled on a mesh as GridFunction(mesh, F(mesh.nodes)), which refuses
+non-finite samples.  Grid functions have no file format: the one report
+the package writes is the study CSV (study.emit_csv).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Mesh", "GridFunction", "restrict"]
+__all__ = ["Mesh", "GridFunction"]
 
 
 @dataclass(frozen=True)
@@ -81,16 +81,5 @@ class GridFunction:
             raise ValueError("grid function values must be finite")
 
     def sup_norm(self):
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+        return float(np.max(np.abs(self.values)))
 
-
-def restrict(F, mesh):
-    """Sample a continuous profile F onto the mesh nodes.
-
-    This is the pointwise restriction (R_h F)(jh) = F(jh); the sup norm
-    of the result never exceeds sup |F|.
-    """
-    vals = np.array([float(F(x)) for x in mesh.nodes])
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("profile produced non-finite samples")
-    return GridFunction(mesh, vals)

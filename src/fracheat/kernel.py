@@ -2,7 +2,8 @@
 
 Builds the explicit convolution weights of the operator (fractional
 power of the 3-point second-difference Laplacian), applies the operator
-as a symmetric Toeplitz convolution by FFT circulant embedding, and
+to a value array as a symmetric Toeplitz convolution by FFT circulant
+embedding (toeplitz_matvec, the one way every caller applies it), and
 measures the discrete/continuous consistency error against a closed form
 of the continuous fractional Laplacian.  Independent routes to the same
 weights and products (the alternating-sign closed form, the O(N^2)
@@ -20,12 +21,11 @@ from scipy.fft import next_fast_len
 from scipy.fft._pocketfft.pypocketfft import c2r, r2c
 from scipy.special import gammaln
 
-from .grid import GridFunction, restrict
+from .grid import GridFunction
 
 __all__ = [
     "SymmetricKernel",
     "kernel_weights",
-    "apply_operator",
     "toeplitz_matvec",
     "frac_laplacian_constant",
     "consistency_error",
@@ -47,8 +47,9 @@ def frac_laplacian_constant(s):
 class SymmetricKernel:
     """Symmetric convolution kernel w[|n|] of a lattice operator.
 
-    w[n] holds the entry at offset n (= entry at -n) for n = 0..half_width
-    on a mesh of size h.  The fractional Laplacian's weights have w[0] > 0,
+    w[n] holds the entry at offset n (= entry at -n) for n = 0..half_width;
+    the mesh size is folded into the weights by their builder.  The
+    fractional Laplacian's weights have w[0] > 0,
     w[n] < 0 for n >= 1, a vanishing whole-lattice row sum and
     |w[n]| ~ frac_laplacian_constant(s) / (h^{2s} n^{1+2s}); a semigroup
     kernel is non-negative up to quadrature noise with mass() at most 1.
@@ -57,7 +58,6 @@ class SymmetricKernel:
     per FFT size and an in-place edit would leave that spectrum stale.
     """
 
-    h: float
     w: np.ndarray
     _spectra: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -115,7 +115,7 @@ def kernel_weights(s, h, half_width):
     steps = np.log(n[:-1] - s) - np.log(n[:-1] + 1.0 + s) if half_width > 1 else np.empty(0)
     log_ratio = seed + np.concatenate(([0.0], np.cumsum(steps)))
     w[1:] = -pref * np.exp(log_ratio) / h2s
-    return SymmetricKernel(h=float(h), w=w)
+    return SymmetricKernel(w=w)
 
 
 # ---------------------------------------------------------------------------
@@ -157,37 +157,26 @@ def toeplitz_matvec(kernel, values):
     return conv[n_half : n_half + m]
 
 
-def apply_operator(kernel, u):
-    """Apply the discrete fractional Laplacian to a grid function.
-
-    The kernel must match the mesh size and be at least as wide as the
-    grid, so that only the (zero) exterior is ever clipped.
-    """
-    if not isinstance(u, GridFunction):
-        raise TypeError("u must be a GridFunction")
-    if not math.isclose(kernel.h, u.mesh.h, rel_tol=1e-12):
-        raise ValueError(f"kernel h={kernel.h} does not match mesh h={u.mesh.h}")
-    return GridFunction(u.mesh, toeplitz_matvec(kernel, u.values))
-
-
 def consistency_error(U, s, mesh, points, exact_op):
     """Sup-norm gap between the discrete operator of the sampled profile
     and the continuous operator at the measurement points.
 
-    The discrete side applies the lattice kernel to the restriction of U
-    (zero beyond the mesh); the continuous side is the closed form
-    exact_op(x) of (-Laplacian)^s U.  The points must be mesh nodes, so
-    that a study across nested meshes can measure every mesh at the same
-    points.
+    The discrete side applies the lattice kernel to U(mesh.nodes) (zero
+    beyond the mesh); the continuous side is the closed form exact_op of
+    (-Laplacian)^s U.  U and exact_op are vectorized callables, each
+    called once.  The points must be mesh nodes, so that a study across
+    nested meshes can measure every mesh at the same points.  A point off
+    the mesh raises ValueError before U is sampled, as does a non-finite
+    sample of U.
     """
-    kern = kernel_weights(s, mesh.h, mesh.n_points)
-    disc = apply_operator(kern, restrict(U, mesh))
     xs = mesh.nodes
-    worst = 0.0
-    for p in points:
-        j = int(round((p - xs[0]) / mesh.h))
-        if not (0 <= j < len(xs)) or abs(xs[j] - p) > 1e-9 * mesh.h:
-            raise ValueError(f"measurement point {p} is not a node of the mesh")
-        xj = xs[j]
-        worst = max(worst, abs(disc.values[j] - exact_op(xj)))
-    return worst
+    points = np.asarray(points, dtype=float)
+    j = np.rint((points - xs[0]) / mesh.h)
+    on_mesh = (j >= 0) & (j < len(xs))
+    j = np.where(on_mesh, j, 0).astype(int)
+    off = ~on_mesh | (np.abs(xs[j] - points) > 1e-9 * mesh.h)
+    if np.any(off):
+        raise ValueError(f"measurement point {points[np.argmax(off)]} is not a node of the mesh")
+    u = GridFunction(mesh, U(xs))
+    disc = toeplitz_matvec(kernel_weights(s, mesh.h, mesh.n_points), u.values)
+    return float(np.max(np.abs(disc[j] - exact_op(xs[j])), initial=0.0))

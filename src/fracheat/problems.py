@@ -123,10 +123,11 @@ def example2(s):
 
 
 def gaussian_profile():
-    """Smooth rapidly decaying profile used by the consistency study."""
+    """Smooth rapidly decaying profile used by the consistency study, as a
+    vectorized callable x -> e^{-x^2}."""
 
     def U(x):
-        return math.exp(-x * x) if np.isscalar(x) else np.exp(-x * x)
+        return np.exp(-x * x)
 
     return U
 

@@ -41,7 +41,7 @@ def kernel_weights_direct(s, h, half_width):
     inc = np.log(np.abs(k - 1.0 - s)) - np.log(k + s)
     log_mag = gammaln(2.0 * s + 1.0) - 2.0 * gammaln(1.0 + s) + np.cumsum(inc)
     w[1:] = -np.exp(log_mag) / h2s
-    return SymmetricKernel(h=float(h), w=w)
+    return SymmetricKernel(w=w)
 
 
 def toeplitz_direct(kernel, values):

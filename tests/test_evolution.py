@@ -17,14 +17,14 @@ from fracheat.evolution import (
     solve,
     solve_scalar_l1,
 )
-from fracheat.grid import GridFunction, Mesh, restrict
-from fracheat.kernel import apply_operator, kernel_weights, toeplitz_matvec
+from fracheat.grid import GridFunction, Mesh
+from fracheat.kernel import kernel_weights, toeplitz_matvec
 from fracheat.problems import example2, to_evolution_problem
 from fracheat.special import SeriesConvergenceError, mittag_leffler
 
 
 def _gaussian(mesh):
-    return restrict(lambda x: math.exp(-x * x / 4.0), mesh)
+    return GridFunction(mesh, np.exp(-mesh.nodes ** 2 / 4.0))
 
 
 class TestL1Weights:
@@ -125,7 +125,7 @@ class TestBackwardEuler:
         # one homogeneous step: center amplitude scales by 1/(1 + dt * symbol)
         s, h, om, dt = 0.6, 0.1, 1.3, 0.01
         mesh = Mesh(h=h, a=-400.0, b=400.0)
-        u0 = restrict(lambda x: math.cos(om * x), mesh)
+        u0 = GridFunction(mesh, np.cos(om * mesh.nodes))
         prob = EvolutionProblem(s=s, alpha=1.0, mesh=mesh, u0=u0, t_horizon=dt)
         traj = solve(prob, SchemeConfig(stepper="backward_euler", dt=dt))
         sym = (4.0 * math.sin(om * h / 2.0) ** 2 / h ** 2) ** s
@@ -135,7 +135,7 @@ class TestBackwardEuler:
 
     def test_newton_quadratic_convergence_semilinear(self):
         mesh = Mesh(h=0.5, a=-10.0, b=10.0)
-        bump = restrict(lambda x: 0.5 * math.exp(-x * x), mesh)
+        bump = GridFunction(mesh, 0.5 * np.exp(-mesh.nodes ** 2))
         nl = Nonlinearity(f=lambda u: -u ** 3, df=lambda u: -3.0 * u * u)
         prob = EvolutionProblem(s=0.5, alpha=1.0, mesh=mesh, u0=bump,
                                 t_horizon=0.05, nonlinearity=nl)

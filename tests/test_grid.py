@@ -1,11 +1,7 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from fracheat.grid import GridFunction, Mesh, restrict
+from fracheat.grid import GridFunction, Mesh
 
 
 class TestMesh:
@@ -59,36 +55,3 @@ class TestGridFunction:
         u = GridFunction(mesh, np.array([1.0, -3.0, 2.0]))
         assert u.sup_norm() == 3.0
 
-
-class TestRestrict:
-    def test_zero(self):
-        mesh = Mesh(h=0.5, a=-1.0, b=1.0)
-        assert restrict(lambda x: 0.0, mesh).sup_norm() == 0.0
-
-    def test_samples_at_nodes(self):
-        mesh = Mesh(h=0.5, a=-1.0, b=1.0)
-        u = restrict(lambda x: x * x, mesh)
-        assert np.allclose(u.values, mesh.nodes ** 2)
-
-    def test_rejects_nonfinite_profile(self):
-        mesh = Mesh(h=0.5, a=-1.0, b=1.0)
-        with pytest.raises(ValueError):
-            restrict(lambda x: 1.0 / x if x != 0.0 else math.inf, mesh)
-
-    @given(h=st.sampled_from([0.1, 0.25, 0.5]), scale=st.floats(0.1, 3.0))
-    @settings(max_examples=20, deadline=None)
-    def test_sup_norm_never_exceeds_profile_sup(self, h, scale):
-        mesh = Mesh(h=h, a=-2.0, b=2.0)
-        u = restrict(lambda x: scale * math.exp(-x * x), mesh)
-        assert u.sup_norm() <= scale + 1e-15
-
-    def test_sampled_max_approaches_true_max(self):
-        # Gaussian peak at 0.237..., finer meshes catch it better
-        peak = 0.237
-        prof = lambda x: math.exp(-((x - peak) ** 2))
-        gaps = []
-        for h in (0.5, 0.25, 0.125, 0.0625):
-            mesh = Mesh(h=h, a=-2.0, b=2.0)
-            gaps.append(1.0 - restrict(prof, mesh).sup_norm())
-        assert all(a >= b for a, b in zip(gaps, gaps[1:]))
-        assert gaps[-1] < 1e-3

@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
-from fracheat.grid import Mesh, restrict
+from fracheat.grid import Mesh
 from fracheat.kernel import (
     SymmetricKernel,
-    apply_operator,
     consistency_error,
     frac_laplacian_constant,
     kernel_weights,
     toeplitz_matvec,
 )
-from fracheat.problems import gaussian_frac_laplacian
+from fracheat.problems import gaussian_frac_laplacian, gaussian_profile
 from fracheat.semigroup import frac_semigroup_kernel
 from oracles import (
     OracleConvergenceError,
@@ -111,10 +110,9 @@ class TestToeplitzApply:
 
     def test_annihilates_constants_up_to_tail(self):
         k = kernel_weights(0.5, 1.0, 4000)
-        v = np.ones(101)
-        out = apply_operator(k, restrict(lambda x: 1.0, Mesh(h=1.0, a=-50.0, b=50.0)))
+        out = toeplitz_matvec(k, np.ones(101))
         # interior nodes see almost the full two-sided sum ~ 0 + tail
-        assert abs(out.values[50]) < 0.05
+        assert abs(out[50]) < 0.05
 
     def test_kernel_too_narrow_rejected(self):
         k = kernel_weights(0.5, 1.0, 4)
@@ -180,7 +178,7 @@ class TestConsistency:
         # the guaranteed order is at least 2 - 2s; on smooth profiles the
         # observed order is in fact ~2, so assert the one-sided bound
         s = 0.4
-        U = lambda x: math.exp(-x * x) if np.isscalar(x) else np.exp(-x * x)
+        U = gaussian_profile()
         errs = []
         hs = (0.4, 0.2, 0.1)
         mesh0 = Mesh(h=0.4, a=-20.0, b=20.0)
@@ -194,8 +192,48 @@ class TestConsistency:
         order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert order >= 2.0 - 2.0 * s - 0.25
 
-    def test_points_must_be_nodes(self):
-        U = lambda x: math.exp(-x * x)
+    def test_matches_direct_sum(self):
+        # the FFT product of the sampled profile against the O(N^2) sum,
+        # both measured against the closed form at the window nodes
+        s = 0.6
+        mesh = Mesh(h=0.2, a=-10.0, b=10.0)
+        sl = mesh.window_slice(-2.0, 2.0)
+        points = mesh.nodes[sl]
+        exact_op = gaussian_frac_laplacian(s)
+        direct = toeplitz_direct(kernel_weights(s, mesh.h, mesh.n_points),
+                                 gaussian_profile()(mesh.nodes))
+        ref = np.max(np.abs(direct[sl] - exact_op(points)))
+        got = consistency_error(gaussian_profile(), s, mesh, points=points, exact_op=exact_op)
+        assert abs(got - ref) < 1e-12 * max(1.0, np.max(np.abs(direct)))
+
+    def test_samples_once_per_mesh(self):
+        calls = {"U": 0, "exact_op": 0}
+        U, op = gaussian_profile(), gaussian_frac_laplacian(0.5)
+
+        def counted_U(x):
+            calls["U"] += 1
+            return U(x)
+
+        def counted_op(x):
+            calls["exact_op"] += 1
+            return op(x)
+
+        mesh = Mesh(h=0.25, a=-5.0, b=5.0)
+        consistency_error(counted_U, 0.5, mesh, points=mesh.nodes[10:31], exact_op=counted_op)
+        assert calls == {"U": 1, "exact_op": 1}
+
+    def test_rejects_nonfinite_profile(self):
         mesh = Mesh(h=0.5, a=-5.0, b=5.0)
-        with pytest.raises(ValueError):
-            consistency_error(U, 0.5, mesh, points=[0.3], exact_op=gaussian_frac_laplacian(0.5))
+        U = lambda x: np.where(x > 1.0, np.nan, np.exp(-x * x))
+        with pytest.raises(ValueError, match="finite"):
+            consistency_error(U, 0.5, mesh, points=[0.0], exact_op=gaussian_frac_laplacian(0.5))
+
+    def test_points_must_be_nodes(self):
+        def U(x):
+            raise AssertionError("profile sampled before the points were checked")
+
+        mesh = Mesh(h=0.5, a=-5.0, b=5.0)
+        for p in (0.3, 5.5, -5.5, math.nan):
+            with pytest.raises(ValueError, match="not a node"):
+                consistency_error(U, 0.5, mesh, points=[0.0, p],
+                                  exact_op=gaussian_frac_laplacian(0.5))

@@ -9,8 +9,8 @@ from scipy.linalg import toeplitz
 from scipy.special import ive
 
 from fracheat import semigroup, special
-from fracheat.grid import Mesh, restrict
-from fracheat.kernel import toeplitz_matvec
+from fracheat.grid import GridFunction, Mesh
+from fracheat.kernel import kernel_weights, toeplitz_matvec
 from fracheat.semigroup import (
     frac_semigroup_kernel,
     subordinate_scalar_P,
@@ -22,7 +22,7 @@ from fracheat.special import SeriesConvergenceError, mittag_leffler
 
 
 def _gaussian(mesh):
-    return restrict(lambda x: math.exp(-x * x / 4.0), mesh)
+    return GridFunction(mesh, np.exp(-mesh.nodes ** 2 / 4.0))
 
 
 class TestFracSemigroupKernel:
@@ -74,12 +74,10 @@ class TestApply:
 
     def test_generator_consistency(self):
         # (u - T(delta) u)/delta -> A u at rate O(delta)
-        from fracheat.kernel import apply_operator, kernel_weights
-
         mesh = Mesh(h=0.2, a=-30.0, b=30.0)
         u = _gaussian(mesh)
         kern = kernel_weights(0.6, mesh.h, mesh.n_points)
-        au = apply_operator(kern, u).values
+        au = toeplitz_matvec(kern, u.values)
         sl = mesh.window_slice(-5.0, 5.0)
         gaps = []
         for delta in (1e-2, 5e-3, 2.5e-3):
@@ -151,8 +149,6 @@ class TestSubordination:
     def test_S_contraction_random(self):
         rng = np.random.default_rng(11)
         mesh = Mesh(h=0.5, a=-10.0, b=10.0)
-        from fracheat.grid import GridFunction
-
         kern = subordinated_kernel(0.6, mesh.h, 0.5, 0.8, mesh.n_points)
         for _ in range(100):
             u = GridFunction(mesh, rng.uniform(-1.0, 1.0, mesh.n_points))
@@ -163,8 +159,6 @@ class TestSubordination:
         # ||P(t) g|| <= t^{alpha-1} ||g||
         rng = np.random.default_rng(13)
         mesh = Mesh(h=0.5, a=-10.0, b=10.0)
-        from fracheat.grid import GridFunction
-
         alpha = 0.7
         for t in (0.25, 1.0, 2.0):
             kern = subordinated_kernel(0.6, mesh.h, alpha, t, mesh.n_points,
@@ -179,6 +173,32 @@ class TestSubordination:
         # as frac_semigroup_kernel does, instead of a complex t ** alpha
         with pytest.raises(ValueError, match="t must be non-negative"):
             subordinated_kernel(0.6, 0.5, 0.5, -0.1, 8, weighted_by_tau=weighted_by_tau)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_scalar_S_rejects_negative_time(self, t):
+        # a negative t made t ** alpha complex, whose real part was returned
+        with pytest.raises(ValueError, match="t must be non-negative"):
+            subordinate_scalar_S(0.5, 1.0, t)
+
+    @pytest.mark.parametrize("weighted_by_tau", [False, True])
+    def test_kernel_refuses_past_the_wright_limit(self, weighted_by_tau):
+        # s = 0.9, h = 0.0125, t = 0.2: z = t^alpha 4^s / h^{2s} is about
+        # 4,149, far past the z = 100 up to which the Wright sum holds
+        with pytest.raises(SeriesConvergenceError,
+                           match="the Wright quadrature cannot resolve .* = 4149"):
+            subordinated_kernel(0.9, 0.0125, 0.5, 0.2, 8, weighted_by_tau=weighted_by_tau)
+
+    def test_kernel_builds_just_inside_the_wright_limit(self):
+        # s = 0.9, h = 0.1, t = 0.2: z = 98.26
+        assert subordinated_kernel(0.9, 0.1, 0.5, 0.2, 19).mass() <= 1.0
+
+    @pytest.mark.parametrize("reduction", [subordinate_scalar_S, subordinate_scalar_P])
+    def test_scalar_reductions_refuse_past_the_wright_limit(self, reduction):
+        # at z = lam t^alpha = 1000 the Wright sum gives 2.71e-4 for
+        # E_0.5(-1000) = 5.64e-4
+        with pytest.raises(SeriesConvergenceError,
+                           match="the Wright quadrature cannot resolve .* = 1000"):
+            reduction(0.5, 1000.0, 1.0)
 
     @given(alpha=st.floats(0.2, 0.9), lam=st.floats(0.1, 4.0))
     @settings(max_examples=20, deadline=None)
