@@ -5,7 +5,8 @@
 on a truncated uniform mesh, with backward Euler (alpha = 1), the L1
 scheme for the Caputo derivative (alpha < 1), and a mild-solution
 reference integrator that applies the subordinated propagators mode by
-mode in the eigenbasis of the same truncated operator.
+mode in the eigenbasis of the same truncated operator, through the one
+Wright sum of the semigroup module (exp(-t lambda) exactly at alpha = 1).
 
 The implicit stage of both marching schemes solves
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from .grid import GridFunction, Mesh
 from .kernel import kernel_weights, toeplitz_matvec
-from . import semigroup as sg
+from .semigroup import _mode_sum
 
 __all__ = [
     "Nonlinearity",
@@ -424,72 +425,17 @@ def _march(problem, cfg):
 _MILD_GL_ORDER = 6
 _MILD_PANELS = 8
 
-def _mode_propagator(alpha, q, lam, weighted_by_tau):
-    """Multipliers of a mild propagator on the modes of eigenvalues lam.
-
-    At alpha = 1 this is exp(-q lam).  At alpha < 1 it is the Wright
-    sum over the subordination quadrature,
-    sum_i w_i Phi_i exp(-tau_i q^alpha lam), each term weighted by tau_i
-    for the forcing propagator (whose factor alpha q^{alpha-1} the
-    caller's substitution v = q^alpha absorbs): E_alpha(-q^alpha lam)
-    and E_{alpha,alpha}(-q^alpha lam) / alpha up to quadrature error.
-    Raises SeriesConvergenceError at alpha < 1 once z = q^alpha max(lam)
-    exceeds semigroup._WRIGHT_Z_MAX, where that error grows past 3.3e-10.
-    """
-    if alpha == 1.0:
-        return np.exp(-q * lam)
-    sg._check_wright_z(alpha, q, q ** alpha * float(np.max(lam)))
-    quadr = sg.subordination_quadrature(alpha)
-    factors = quadr.weights * quadr.phi
-    if weighted_by_tau:
-        factors = factors * quadr.nodes
-    e = np.multiply.outer(quadr.nodes * q ** alpha, -lam)
-    return factors @ np.exp(e, out=e)
-
-
-def _mild_state(problem, t):
-    """Evaluate the mild solution u(t) = S(t) u0 + memory integral of P * F
-    in the eigenbasis of the truncated operator A."""
-    mesh = problem.mesh
-    alpha = problem.alpha
-    if t == 0.0:
-        return problem.u0.values.copy()
-    n = mesh.n_points
-    w = kernel_weights(problem.s, mesh.h, n).w
-    # A[j, k] = w[|j - k|], the operator both marching schemes apply.  Row j
-    # is the length-n window of (w[n-1], .., w[1], w[0], .., w[n-1]) that
-    # starts at n-1-j, so A is a view of that vector: eigh's copy is then
-    # the only N x N input array
-    lags = np.concatenate((w[n - 1:0:-1], w[:n]))
-    lam, modes = np.linalg.eigh(np.lib.stride_tricks.sliding_window_view(lags, n)[::-1])
-    acc = _mode_propagator(alpha, t, lam, weighted_by_tau=False) * (problem.u0.values @ modes)
-    if problem.forcing is not None:
-        # integral_0^t P(q) F(t - q) dq, composite Gauss in v = q^alpha: the
-        # substitution absorbs the q^{alpha-1} endpoint singularity of P
-        # exactly, and at alpha = 1 it is the identity with P(q) = S(q)
-        x_ref, w_ref = np.polynomial.legendre.leggauss(_MILD_GL_ORDER)
-        v_max = t ** alpha
-        for p in range(_MILD_PANELS):
-            lo, hi = v_max * p / _MILD_PANELS, v_max * (p + 1) / _MILD_PANELS
-            half = 0.5 * (hi - lo)
-            for xr, wr in zip(x_ref, w_ref):
-                q = (lo + half * (xr + 1.0)) ** (1.0 / alpha)
-                f_modes = problem.forcing_values(t - q) @ modes
-                acc += half * wr * _mode_propagator(alpha, q, lam, weighted_by_tau=True) * f_modes
-    return modes @ acc
-
-
 def evaluate_mild(problem, t):
     """Mild solution at time t >= 0 as a GridFunction (linear problems only).
 
     It solves the problem the marching schemes solve: the truncated
     operator A[j, k] = w[|j - k|] on the mesh, zero outside it.  One
     numpy.linalg.eigh diagonalizes A; u0 and the forcing samples are
-    propagated mode by mode (see _mode_propagator) and mapped back once.
+    propagated mode by mode by semigroup._mode_sum and mapped back once.
     The forcing's memory integral is a fixed composite Gauss rule,
     _MILD_PANELS panels of _MILD_GL_ORDER nodes in v = q^alpha on [0, t^alpha].
-    At alpha < 1 the modes are propagated by a Wright sum that resolves
-    E_alpha(-z) only up to z = t^alpha max(lambda) = 100 (semigroup._WRIGHT_Z_MAX);
+    At alpha < 1 the Wright sum resolves E_alpha(-z) only up to
+    z = t^alpha max(lambda) = 100 (semigroup._WRIGHT_Z_MAX);
     past it the call raises SeriesConvergenceError.  max(lambda) grows
     like 4^s / h^{2s}, so fine meshes at s near 1 meet the limit first.
 
@@ -500,13 +446,39 @@ def evaluate_mild(problem, t):
     0.25 s unforced and 0.32 s forced at alpha = 1 (the same sums through
     whole-lattice semigroup kernels take 0.03 s and 0.44 s), and 0.22 s
     and 0.49 s at alpha = 0.5 (0.33 s and 10.7 s through subordinated
-    kernels).  Raises ValueError for t < 0 and for a nonlinear problem.
+    kernels).  Raises ValueError for t < 0 or NaN and for a nonlinear problem.
     """
     if problem.nonlinearity is not None:
         raise ValueError("the mild reference integrator only supports linear problems")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be non-negative, got {t}")
-    return GridFunction(problem.mesh, _mild_state(problem, t))
+    mesh, alpha = problem.mesh, problem.alpha
+    if t == 0.0:
+        return GridFunction(mesh, problem.u0.values.copy())
+    n = mesh.n_points
+    w = kernel_weights(problem.s, mesh.h, n).w
+    # A[j, k] = w[|j - k|], the operator both marching schemes apply.  Row j
+    # is the length-n window of (w[n-1], .., w[1], w[0], .., w[n-1]) that
+    # starts at n-1-j, so A is a view of that vector: eigh's copy is then
+    # the only N x N input array
+    lags = np.concatenate((w[n - 1:0:-1], w[:n]))
+    lam, modes = np.linalg.eigh(np.lib.stride_tricks.sliding_window_view(lags, n)[::-1])
+    acc = _mode_sum(alpha, t, lam) * (problem.u0.values @ modes)
+    if problem.forcing is not None:
+        # integral_0^t P(q) F(t - q) dq, composite Gauss in v = q^alpha: the
+        # substitution absorbs the q^{alpha-1} endpoint singularity of P
+        # (its factor alpha q^{alpha-1} is dv/dq) exactly, and at alpha = 1
+        # it is the identity with P(q) = S(q)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(_MILD_GL_ORDER)
+        v_max = t ** alpha
+        for p in range(_MILD_PANELS):
+            lo, hi = v_max * p / _MILD_PANELS, v_max * (p + 1) / _MILD_PANELS
+            half = 0.5 * (hi - lo)
+            for xr, wr in zip(x_ref, w_ref):
+                q = (lo + half * (xr + 1.0)) ** (1.0 / alpha)
+                f_modes = problem.forcing_values(t - q) @ modes
+                acc += half * wr * _mode_sum(alpha, q, lam, weighted_by_tau=True) * f_modes
+    return GridFunction(mesh, modes @ acc)
 
 
 # ---------------------------------------------------------------------------

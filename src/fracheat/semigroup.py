@@ -1,26 +1,29 @@
 """Lattice fractional heat semigroup and the Wright-subordinated solution
 operators of the time-fractional problem.
 
-The fractional semigroup kernel is computed from the spectral integral
-    L_n(t) = (1/2pi) integral_{-pi}^{pi} exp(-t lam(theta)) e^{-i n theta} dtheta,
-    lam(theta) = (4 sin^2(theta/2))^s,
-and the subordinated kernels from weighted sums of such integrands over
-the Wright tau-quadrature; one builder serves both, the semigroup being
-its one-node case.  The integrand is periodic but has a |theta|^{2s}
-cusp at theta = 0, so the plain m-node trapezoid rule aliases
-coefficients decaying like n^{-1-2s} and errs by O(m^{-1-2s}).  The
-builder subtracts that cusp in closed form (its coefficients are the
-h = 1 lattice weights of lam), which leaves an aliasing error of
-O(m^{-1-4s}); it picks m from that error model and doubles it until two
-grids agree to the tolerance (1e-12 for the semigroup kernel, 1e-10 for
-the subordinated ones).  At s = 1 there is no cusp and the semigroup
-kernel is the plain lattice heat kernel e^{-x} I_n(x), x = 2t/h^2.  All
-kernels are non-negative; all but the tau-weighted one have total mass
-at most one (sub-Markov), so their operators are sup-norm contractions.
-Kernels are built afresh on every call and applied by the caller with
-kernel.toeplitz_matvec.  They are the paper's whole-lattice objects; the
-library's own mild reference (evolution.evaluate_mild) solves the
-truncated problem in its eigenbasis instead and builds none of them.
+Each solution operator is a sum over one Wright rule (_wright_rule) of
+semigroup terms exp(-tau_i t^alpha A): the tau-quadrature of
+subordination_quadrature below alpha = 1, and at alpha = 1, where Phi_1
+is the unit mass at tau = 1, the single node tau = 1, exactly.  Both
+kernel builders go through one front end (_kernel); one per-mode sum
+(_mode_sum) serves evolution.evaluate_mild and the scalar reductions.
+The kernels are the Fourier coefficients of one spectral integrand,
+    g(theta) = sum_i f_i exp(-tau_i t^alpha h^{-2s} lam(theta)),
+    lam(theta) = (4 sin^2(theta/2))^s.
+It is periodic but has a |theta|^{2s} cusp at theta = 0, so the plain
+m-node trapezoid rule aliases coefficients decaying like n^{-1-2s} and
+errs by O(m^{-1-2s}).  The builder subtracts that cusp in closed form
+(its coefficients are the h = 1 lattice weights of lam), which leaves an
+aliasing error of O(m^{-1-4s}); it picks m from that error model and
+doubles it until two grids agree to the tolerance (1e-12 for the
+semigroup kernel, 1e-10 for the subordinated ones).  At s = 1 there is
+no cusp and the semigroup kernel is the plain lattice heat kernel
+e^{-x} I_n(x), x = 2t/h^2.  All kernels are non-negative; all but the
+tau-weighted one have total mass at most one (sub-Markov), so their
+operators are sup-norm contractions.  Kernels are built afresh on every
+call and applied by the caller with kernel.toeplitz_matvec.  They are
+the paper's whole-lattice objects; the library's own mild reference
+solves the truncated problem in its eigenbasis and builds none of them.
 """
 
 from __future__ import annotations
@@ -59,19 +62,7 @@ def frac_semigroup_kernel(s, h, t, half_width):
     raises if the doubling does not settle below 1e-12.  s = 1 is
     accepted and gives the lattice heat kernel e^{-2t/h^2} I_n(2t/h^2).
     """
-    s, h, t, half_width = float(s), float(h), float(t), int(half_width)
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"s must lie in (0, 1], got {s}")
-    if not h > 0.0:
-        raise ValueError(f"h must be positive, got {h}")
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if t == 0.0:
-        w = np.zeros(half_width + 1)
-        w[0] = 1.0
-        return SymmetricKernel(w=w)
-    return _spectral_kernel(s, h, t, half_width, np.ones(1),
-                            np.array([t / h ** (2.0 * s)]), _SEMIGROUP_TOL)
+    return _kernel(s, h, 1.0, t, half_width, False, _SEMIGROUP_TOL)
 
 
 _MAX_NODES = 1 << 22   # largest trapezoid grid; half of it is sampled
@@ -185,7 +176,6 @@ class SubordinationQuadrature:
     p = 1 moments to 1e-8.
     """
 
-    alpha: float
     nodes: np.ndarray
     weights: np.ndarray
     phi: np.ndarray
@@ -205,15 +195,6 @@ _TAU_CUTOFF = 1e-14
 # against mittag_leffler at alpha in {0.3, 0.5, 0.8} is at most 3.3e-10 at
 # z = 100, 1.6e-8 to 6.6e-8 at z = 150 and 3.9e-5 to 1.4e-4 at z = 500.
 _WRIGHT_Z_MAX = 100.0
-
-
-def _check_wright_z(alpha, t, z):
-    """Refuse a Wright sum at z = t^alpha max(lambda) past _WRIGHT_Z_MAX."""
-    if z > _WRIGHT_Z_MAX:
-        raise SeriesConvergenceError(
-            f"the Wright quadrature cannot resolve E_alpha(-z) at z = t^alpha max(lambda) "
-            f"= {z:.4g}, past its limit {_WRIGHT_Z_MAX:g} (alpha = {alpha}, t = {t:.10g})"
-        )
 
 
 @lru_cache(maxsize=64)
@@ -241,7 +222,7 @@ def subordination_quadrature(alpha):
     nodes = (_PANEL_WIDTH * np.arange(n_panels)[:, None] + half * (x_ref + 1.0)).ravel()
     weights = np.tile(half * w_ref, n_panels)
     phi = np.array([wright_phi(alpha, x) for x in nodes])
-    quadr = SubordinationQuadrature(alpha=alpha, nodes=nodes, weights=weights, phi=phi)
+    quadr = SubordinationQuadrature(nodes=nodes, weights=weights, phi=phi)
     m0 = quadr.integrate(np.ones_like(nodes))
     m1 = quadr.integrate(nodes)
     if abs(m0 - 1.0) > 1e-8 or abs(m1 - 1.0 / math.gamma(alpha + 1.0)) > 1e-8:
@@ -249,6 +230,65 @@ def subordination_quadrature(alpha):
             f"subordination quadrature moments off: m0={m0!r}, m1={m1!r}"
         )
     return quadr
+
+
+def _wright_rule(alpha, t, lam_max, weighted_by_tau):
+    """Nodes tau_i and factors f_i of the Wright sum
+    sum_i f_i exp(-tau_i t^alpha lam) for rates lam <= lam_max.
+
+    At alpha = 1, Phi_1 is the unit mass at tau = 1: one node with factor
+    1, exact.  Below 1 it is subordination_quadrature(alpha) with factors
+    w_i Phi_alpha(tau_i), times tau_i with tau weighting.  Raises
+    ValueError for alpha outside (0, 1], and SeriesConvergenceError below
+    1 once z = t^alpha lam_max exceeds _WRIGHT_Z_MAX.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if alpha == 1.0:
+        return np.ones(1), np.ones(1)
+    quadr = subordination_quadrature(alpha)
+    z = t ** alpha * lam_max
+    if z > _WRIGHT_Z_MAX:
+        raise SeriesConvergenceError(
+            f"the Wright quadrature cannot resolve E_alpha(-z) at z = t^alpha max(lambda) "
+            f"= {z:.4g}, past its limit {_WRIGHT_Z_MAX:g} (alpha = {alpha}, t = {t:.10g})"
+        )
+    factors = quadr.weights * quadr.phi
+    return quadr.nodes, factors * quadr.nodes if weighted_by_tau else factors
+
+
+def _kernel(s, h, alpha, t, half_width, weighted_by_tau, tol):
+    """Front end of both kernel builders (see subordinated_kernel): the
+    kernel of the Wright rule's sum of exp(-tau_i t^alpha A), to tol."""
+    s, h, alpha, t, half_width = float(s), float(h), float(alpha), float(t), int(half_width)
+    if not 0.0 < s <= 1.0:
+        raise ValueError(f"s must lie in (0, 1], got {s}")
+    if not h > 0.0:
+        raise ValueError(f"h must be positive, got {h}")
+    if not t >= 0.0:
+        raise ValueError(f"t must be non-negative, got {t}")
+    h2s = h ** (2.0 * s)
+    nodes, factors = _wright_rule(alpha, t, 4.0 ** s / h2s, weighted_by_tau)
+    if t == 0.0:
+        w = np.zeros(half_width + 1)
+        w[0] = 1.0 / math.gamma(1.0 + alpha) if weighted_by_tau else 1.0
+        return SymmetricKernel(w=w)
+    return _spectral_kernel(s, h, t, half_width, factors, nodes * t ** alpha / h2s, tol)
+
+
+def _mode_sum(alpha, t, lam, weighted_by_tau=False):
+    """The Wright sum sum_i f_i exp(-tau_i t^alpha lam) at each rate of the
+    array lam (or at one rate): exp(-t lam) at alpha = 1, and below 1
+    E_alpha(-t^alpha lam), or E_{alpha,alpha}(-t^alpha lam) / alpha with
+    tau weighting, up to the rule's error.  Raises ValueError unless every
+    rate is >= 0, and _wright_rule's errors.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if not lam.min() >= 0.0:
+        raise ValueError(f"rates lambda must be non-negative, got min(lambda) = {lam.min()}")
+    nodes, factors = _wright_rule(alpha, t, float(lam.max()), weighted_by_tau)
+    e = np.multiply.outer(nodes * t ** alpha, -lam)
+    return factors @ np.exp(e, out=e)
 
 
 # 1e-10 (vs 1e-12 for the plain semigroup kernel): the subordinated
@@ -265,39 +305,27 @@ def subordinated_kernel(s, h, alpha, t, half_width, weighted_by_tau=False):
     integral tau Phi_alpha(tau) exp(-tau t^alpha A) dtau (the prefactor
     alpha t^{alpha-1} of the second operator is left to the caller).
     All tau nodes share the theta grid, so the whole tau integral is one
-    spectral integrand.  At t = 0 it is exactly the identity, times the
-    first Wright moment 1/Gamma(1+alpha) with tau weighting.  Raises
-    ValueError for t < 0, and SeriesConvergenceError once
-    z = t^alpha 4^s / h^{2s} (t^alpha times the symbol's maximum, at
-    theta = pi) exceeds _WRIGHT_Z_MAX.
+    spectral integrand; at alpha = 1 it is the semigroup kernel.  At t = 0
+    it is exactly the identity, times the first Wright moment
+    1/Gamma(1+alpha) with tau weighting.  Raises ValueError unless
+    s in (0, 1], h > 0, t >= 0 and alpha in (0, 1], and
+    SeriesConvergenceError once z = t^alpha 4^s / h^{2s} (t^alpha times
+    the symbol's maximum, at theta = pi) exceeds _WRIGHT_Z_MAX.
     """
-    s, h, alpha, t, half_width = float(s), float(h), float(alpha), float(t), int(half_width)
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    quadr = subordination_quadrature(alpha)
-    _check_wright_z(alpha, t, t ** alpha * 4.0 ** s / h ** (2.0 * s))
-    if t == 0.0:
-        w = frac_semigroup_kernel(s, h, 0.0, half_width).w
-        return SymmetricKernel(w=w / math.gamma(1.0 + alpha) if weighted_by_tau else w)
-    factors = quadr.weights * quadr.phi
-    if weighted_by_tau:
-        factors = factors * quadr.nodes
-    rates = quadr.nodes * t ** alpha / h ** (2.0 * s)  # per-node t / h^{2s}
-    return _spectral_kernel(s, h, t, half_width, factors, rates, _SUBORDINATED_TOL)
+    return _kernel(s, h, alpha, t, half_width, weighted_by_tau, _SUBORDINATED_TOL)
 
 
 def subordinate_scalar_S(alpha, lam, t):
     """Scalar reduction of the subordinated propagator: the quadrature
     applied to exp(-lam tau t^alpha).  Equals E_{alpha,1}(-lam t^alpha)
-    up to quadrature error (classical subordination identity).  Raises
-    ValueError unless t >= 0, and SeriesConvergenceError once
-    z = lam t^alpha exceeds _WRIGHT_Z_MAX.
+    up to quadrature error (classical subordination identity), and
+    exp(-lam t) exactly at alpha = 1.  Raises ValueError unless t >= 0
+    and lam >= 0, and SeriesConvergenceError once z = lam t^alpha exceeds
+    _WRIGHT_Z_MAX.
     """
     if not t >= 0.0:
         raise ValueError(f"t must be non-negative, got {t}")
-    quadr = subordination_quadrature(alpha)
-    _check_wright_z(alpha, t, lam * t ** alpha)
-    return quadr.integrate(np.exp(-lam * quadr.nodes * t ** alpha))
+    return float(_mode_sum(alpha, t, lam))
 
 
 def subordinate_scalar_P(alpha, lam, t):
@@ -305,12 +333,10 @@ def subordinate_scalar_P(alpha, lam, t):
 
     Equals t^{alpha-1} E_{alpha,alpha}(-lam t^alpha): the identity
     alpha * integral tau Phi_alpha(tau) e^{-z tau} dtau = E_{alpha,alpha}(-z)
-    follows from the Wright moments term by term.  Raises
+    follows from the Wright moments term by term; exp(-lam t) exactly at
+    alpha = 1.  Raises ValueError unless t > 0 and lam >= 0, and
     SeriesConvergenceError once z = lam t^alpha exceeds _WRIGHT_Z_MAX.
     """
     if not t > 0.0:
         raise ValueError("the forcing propagator requires t > 0")
-    quadr = subordination_quadrature(alpha)
-    _check_wright_z(alpha, t, lam * t ** alpha)
-    avg = quadr.integrate(quadr.nodes * np.exp(-lam * quadr.nodes * t ** alpha))
-    return alpha * t ** (alpha - 1.0) * avg
+    return alpha * t ** (alpha - 1.0) * float(_mode_sum(alpha, t, lam, weighted_by_tau=True))

@@ -224,11 +224,12 @@ class TestMildReference:
             SchemeConfig(stepper=stepper, dt=dt)
 
     def test_rejects_negative_time(self):
-        # t^alpha of a negative t is complex
+        # t^alpha of a negative t is complex; a NaN t reached GridFunction
         prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
                                     alpha=0.5, t_horizon=0.2)
-        with pytest.raises(ValueError, match="t must be non-negative"):
-            evaluate_mild(prob, -0.1)
+        for t in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="t must be non-negative"):
+                evaluate_mild(prob, t)
 
     def test_refuses_modes_past_the_wright_limit(self):
         # s = 0.9, h = 0.0125: t^alpha max(lambda) is about 4,200 at t = 0.2,

@@ -200,6 +200,54 @@ class TestSubordination:
                            match="the Wright quadrature cannot resolve .* = 1000"):
             reduction(0.5, 1000.0, 1.0)
 
+    @pytest.mark.parametrize("reduction", [subordinate_scalar_S, subordinate_scalar_P])
+    @pytest.mark.parametrize("lam", [-200.0, -1.0, math.nan])
+    def test_scalar_reductions_refuse_a_negative_or_nan_rate(self, reduction, lam):
+        # z = lam t^alpha < 0 or NaN passed the Wright limit: lam = -200
+        # overflowed to inf, lam = -1 returned 5.009 and NaN returned nan
+        with pytest.raises(ValueError, match="lambda must be non-negative"):
+            reduction(0.5, lam, 1.0)
+
+    @pytest.mark.parametrize("s, h, alpha, t, match", [
+        (1.5, 0.5, 0.5, 0.1, r"s must lie in \(0, 1\]"),
+        (0.0, 0.5, 0.5, 0.1, r"s must lie in \(0, 1\]"),
+        (0.5, 0.0, 0.5, 0.1, "h must be positive"),
+        (0.5, -0.5, 0.5, 0.1, "h must be positive"),
+        (0.5, math.nan, 0.5, 0.1, "h must be positive"),
+        (0.5, 0.5, 0.0, 0.1, r"alpha must lie in \(0, 1\]"),
+        (0.5, 0.5, 1.5, 0.1, r"alpha must lie in \(0, 1\]"),
+        (0.5, 0.5, 0.5, math.nan, "t must be non-negative"),
+    ])
+    @pytest.mark.parametrize("weighted_by_tau", [False, True])
+    def test_kernel_rejects_bad_args(self, s, h, alpha, t, match, weighted_by_tau):
+        # as frac_semigroup_kernel does: h = 0 divided by zero, s = 1.5 met
+        # the Wright limit at z = 3578 and h = NaN did not settle
+        with pytest.raises(ValueError, match=match):
+            subordinated_kernel(s, h, alpha, t, 8, weighted_by_tau=weighted_by_tau)
+
+    @pytest.mark.parametrize("weighted_by_tau", [False, True])
+    def test_mode_sum_at_alpha_one_is_the_exponential(self, weighted_by_tau):
+        # Phi_1 is the unit mass at tau = 1, so the Wright rule is one node
+        lam = np.random.default_rng(29).uniform(0.0, 50.0, 201)
+        for t in (0.0, 0.3, 2.0):
+            got = semigroup._mode_sum(1.0, t, lam, weighted_by_tau=weighted_by_tau)
+            assert got.tobytes() == np.exp(-t * lam).tobytes()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 8.0])
+    @pytest.mark.parametrize("t", [0.25, 1.0, 3.0])
+    def test_scalar_reductions_at_alpha_one_are_the_exponential(self, lam, t):
+        # np.exp, the exponential the per-mode sum takes; math.exp may
+        # differ from it in the last bit
+        assert subordinate_scalar_S(1.0, lam, t) == np.exp(-lam * t)
+        assert subordinate_scalar_P(1.0, lam, t) == np.exp(-lam * t)
+
+    @pytest.mark.parametrize("weighted_by_tau", [False, True])
+    @pytest.mark.parametrize("s, h, t", [(0.6, 0.5, 0.3), (0.3, 0.1, 0.2), (0.9, 0.05, 1.0)])
+    def test_kernel_at_alpha_one_is_the_semigroup_kernel(self, s, h, t, weighted_by_tau):
+        # with or without tau weighting: the one node tau = 1 has weight 1
+        k = subordinated_kernel(s, h, 1.0, t, 40, weighted_by_tau=weighted_by_tau)
+        assert np.max(np.abs(k.w - frac_semigroup_kernel(s, h, t, 40).w)) <= 1e-10
+
     @given(alpha=st.floats(0.2, 0.9), lam=st.floats(0.1, 4.0))
     @settings(max_examples=20, deadline=None)
     def test_scalar_S_decreasing_in_time(self, alpha, lam):
