@@ -43,7 +43,7 @@ import numpy as np
 
 from .grid import GridFunction, Mesh
 from .kernel import kernel_weights, toeplitz_matvec
-from .semigroup import _mode_sum
+from .semigroup import _gauss_panels, _mode_sum
 
 __all__ = [
     "Nonlinearity",
@@ -432,8 +432,9 @@ def evaluate_mild(problem, t):
     operator A[j, k] = w[|j - k|] on the mesh, zero outside it.  One
     numpy.linalg.eigh diagonalizes A; u0 and the forcing samples are
     propagated mode by mode by semigroup._mode_sum and mapped back once.
-    The forcing's memory integral is a fixed composite Gauss rule,
-    _MILD_PANELS panels of _MILD_GL_ORDER nodes in v = q^alpha on [0, t^alpha].
+    The forcing's memory integral is a fixed composite Gauss rule
+    (semigroup._gauss_panels), _MILD_PANELS equal panels of _MILD_GL_ORDER
+    nodes in v = q^alpha on [0, t^alpha].
     At alpha < 1 the Wright sum resolves E_alpha(-z) only up to
     z = t^alpha max(lambda) = 100 (semigroup._WRIGHT_Z_MAX);
     past it the call raises SeriesConvergenceError.  max(lambda) grows
@@ -443,10 +444,9 @@ def evaluate_mild(problem, t):
     eigendecomposition.  Measured on a 2-vCPU Xeon VM with one BLAS
     thread, example 2 at s = 0.7, t = 0.2: 1.8 s and 176 MB peak RSS at
     N = 1921, 13 s and 519 MB at N = 3839.  At N = 961 a call takes
-    0.25 s unforced and 0.32 s forced at alpha = 1 (the same sums through
-    whole-lattice semigroup kernels take 0.03 s and 0.44 s), and 0.22 s
-    and 0.49 s at alpha = 0.5 (0.33 s and 10.7 s through subordinated
-    kernels).  Raises ValueError for t < 0 or NaN and for a nonlinear problem.
+    0.25 s unforced and 0.32 s forced at alpha = 1, and 0.22 s and 0.49 s
+    at alpha = 0.5.  Raises ValueError for t < 0 or NaN and for a
+    nonlinear problem.
     """
     if problem.nonlinearity is not None:
         raise ValueError("the mild reference integrator only supports linear problems")
@@ -469,15 +469,12 @@ def evaluate_mild(problem, t):
         # substitution absorbs the q^{alpha-1} endpoint singularity of P
         # (its factor alpha q^{alpha-1} is dv/dq) exactly, and at alpha = 1
         # it is the identity with P(q) = S(q)
-        x_ref, w_ref = np.polynomial.legendre.leggauss(_MILD_GL_ORDER)
-        v_max = t ** alpha
-        for p in range(_MILD_PANELS):
-            lo, hi = v_max * p / _MILD_PANELS, v_max * (p + 1) / _MILD_PANELS
-            half = 0.5 * (hi - lo)
-            for xr, wr in zip(x_ref, w_ref):
-                q = (lo + half * (xr + 1.0)) ** (1.0 / alpha)
-                f_modes = problem.forcing_values(t - q) @ modes
-                acc += half * wr * _mode_sum(alpha, q, lam, weighted_by_tau=True) * f_modes
+        v, wv = _gauss_panels(t ** alpha * np.arange(_MILD_PANELS + 1) / _MILD_PANELS,
+                              _MILD_GL_ORDER)
+        for vi, wi in zip(v.tolist(), wv.tolist()):
+            q = vi ** (1.0 / alpha)
+            f_modes = problem.forcing_values(t - q) @ modes
+            acc += wi * _mode_sum(alpha, q, lam, weighted_by_tau=True) * f_modes
     return GridFunction(mesh, modes @ acc)
 
 

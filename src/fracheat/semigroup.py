@@ -2,11 +2,12 @@
 operators of the time-fractional problem.
 
 Each solution operator is a sum over one Wright rule (_wright_rule) of
-semigroup terms exp(-tau_i t^alpha A): the tau-quadrature of
-subordination_quadrature below alpha = 1, and at alpha = 1, where Phi_1
-is the unit mass at tau = 1, the single node tau = 1, exactly.  Both
-kernel builders go through one front end (_kernel); one per-mode sum
-(_mode_sum) serves evolution.evaluate_mild and the scalar reductions.
+semigroup terms exp(-tau_i t^alpha A): below alpha = 1 the nodes tau_i
+and factors f_i = w_i Phi_alpha(tau_i) of subordination_quadrature,
+built once per alpha, and at alpha = 1, where Phi_1 is the unit mass at
+tau = 1, the single node tau = 1, exactly.  Both kernel builders go
+through one front end (_kernel); one per-mode sum (_mode_sum) serves
+evolution.evaluate_mild and the scalar reductions.
 The kernels are the Fourier coefficients of one spectral integrand,
     g(theta) = sum_i f_i exp(-tau_i t^alpha h^{-2s} lam(theta)),
     lam(theta) = (4 sin^2(theta/2))^s.
@@ -170,19 +171,23 @@ def _spectral_kernel(s, h, t, half_width, factors, rates, tol):
 class SubordinationQuadrature:
     """Gauss-Legendre panel quadrature against the Wright density.
 
-    nodes/weights discretize integrals of the form
-    integral_0^inf Phi_alpha(tau) g(tau) dtau; phi holds the cached
-    density values at the nodes.  Construction validates the p = 0 and
-    p = 1 moments to 1e-8.
+    nodes tau_i and factors f_i = w_i Phi_alpha(tau_i), the panel weights
+    times the density, discretize integral_0^inf Phi_alpha(tau) g(tau) dtau
+    as sum_i f_i g(tau_i).  Construction validates the p = 0 and p = 1
+    moments to 1e-8.
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
-    phi: np.ndarray
+    factors: np.ndarray
 
-    def integrate(self, g_values):
-        """Sum weights * Phi(nodes) * g_values, fixed left-to-right order."""
-        return float(np.cumsum(self.weights * self.phi * g_values)[-1])
+
+def _gauss_panels(edges, order):
+    """Nodes and weights of the composite Gauss-Legendre rule of the given
+    order on the panels [edges[k], edges[k+1]], panel by panel."""
+    x_ref, w_ref = np.polynomial.legendre.leggauss(order)
+    lo = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - lo)
+    return (lo + half * (x_ref + 1.0)).ravel(), (half * w_ref).ravel()
 
 
 _GL_ORDER = 16
@@ -217,19 +222,15 @@ def subordination_quadrature(alpha):
         decay = -math.log(_TAU_CUTOFF) + math.log1p(tau_max)
         tau_max = (decay / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
     n_panels = max(2, math.ceil(tau_max / _PANEL_WIDTH))
-    x_ref, w_ref = np.polynomial.legendre.leggauss(_GL_ORDER)
-    half = 0.5 * _PANEL_WIDTH
-    nodes = (_PANEL_WIDTH * np.arange(n_panels)[:, None] + half * (x_ref + 1.0)).ravel()
-    weights = np.tile(half * w_ref, n_panels)
-    phi = np.array([wright_phi(alpha, x) for x in nodes])
-    quadr = SubordinationQuadrature(nodes=nodes, weights=weights, phi=phi)
-    m0 = quadr.integrate(np.ones_like(nodes))
-    m1 = quadr.integrate(nodes)
+    nodes, weights = _gauss_panels(_PANEL_WIDTH * np.arange(n_panels + 1), _GL_ORDER)
+    factors = weights * np.array([wright_phi(alpha, x) for x in nodes])
+    m0, m1 = float(factors.sum()), float(factors @ nodes)
     if abs(m0 - 1.0) > 1e-8 or abs(m1 - 1.0 / math.gamma(alpha + 1.0)) > 1e-8:
         raise SeriesConvergenceError(
             f"subordination quadrature moments off: m0={m0!r}, m1={m1!r}"
         )
-    return quadr
+    nodes.flags.writeable = factors.flags.writeable = False  # the cache shares them
+    return SubordinationQuadrature(nodes=nodes, factors=factors)
 
 
 def _wright_rule(alpha, t, lam_max, weighted_by_tau):
@@ -237,10 +238,10 @@ def _wright_rule(alpha, t, lam_max, weighted_by_tau):
     sum_i f_i exp(-tau_i t^alpha lam) for rates lam <= lam_max.
 
     At alpha = 1, Phi_1 is the unit mass at tau = 1: one node with factor
-    1, exact.  Below 1 it is subordination_quadrature(alpha) with factors
-    w_i Phi_alpha(tau_i), times tau_i with tau weighting.  Raises
-    ValueError for alpha outside (0, 1], and SeriesConvergenceError below
-    1 once z = t^alpha lam_max exceeds _WRIGHT_Z_MAX.
+    1, exact.  Below 1 it is the nodes and factors w_i Phi_alpha(tau_i)
+    of subordination_quadrature(alpha), times tau_i with tau weighting.
+    Raises ValueError for alpha outside (0, 1], and SeriesConvergenceError
+    below 1 once z = t^alpha lam_max exceeds _WRIGHT_Z_MAX.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -253,8 +254,7 @@ def _wright_rule(alpha, t, lam_max, weighted_by_tau):
             f"the Wright quadrature cannot resolve E_alpha(-z) at z = t^alpha max(lambda) "
             f"= {z:.4g}, past its limit {_WRIGHT_Z_MAX:g} (alpha = {alpha}, t = {t:.10g})"
         )
-    factors = quadr.weights * quadr.phi
-    return quadr.nodes, factors * quadr.nodes if weighted_by_tau else factors
+    return quadr.nodes, quadr.factors * quadr.nodes if weighted_by_tau else quadr.factors
 
 
 def _kernel(s, h, alpha, t, half_width, weighted_by_tau, tol):
@@ -267,6 +267,8 @@ def _kernel(s, h, alpha, t, half_width, weighted_by_tau, tol):
         raise ValueError(f"h must be positive, got {h}")
     if not t >= 0.0:
         raise ValueError(f"t must be non-negative, got {t}")
+    if half_width < 0:
+        raise ValueError(f"half_width must be non-negative, got {half_width}")
     h2s = h ** (2.0 * s)
     nodes, factors = _wright_rule(alpha, t, 4.0 ** s / h2s, weighted_by_tau)
     if t == 0.0:
@@ -308,7 +310,7 @@ def subordinated_kernel(s, h, alpha, t, half_width, weighted_by_tau=False):
     spectral integrand; at alpha = 1 it is the semigroup kernel.  At t = 0
     it is exactly the identity, times the first Wright moment
     1/Gamma(1+alpha) with tau weighting.  Raises ValueError unless
-    s in (0, 1], h > 0, t >= 0 and alpha in (0, 1], and
+    s in (0, 1], h > 0, t >= 0, half_width >= 0 and alpha in (0, 1], and
     SeriesConvergenceError once z = t^alpha 4^s / h^{2s} (t^alpha times
     the symbol's maximum, at theta = pi) exceeds _WRIGHT_Z_MAX.
     """

@@ -273,12 +273,12 @@ def _wright_series_float(alpha, x):
     log_x = math.log(x)
     log_pi = math.log(math.pi)
     terms = []
+    total = 0.0  # running sum for the stop test; fsum once at the end
     quiet = 0
     for k in range(_WRIGHT_MAX_TERMS):
         y = 1.0 - alpha - alpha * k
         sp = _sinpi(y)
         if sp == 0.0:
-            terms.append(0.0)
             term_mag = 0.0
         else:
             log_mag = (
@@ -291,7 +291,8 @@ def _wright_series_float(alpha, x):
             term_mag = math.exp(log_mag)
             sign = (1.0 if k % 2 == 0 else -1.0) * math.copysign(1.0, sp)
             terms.append(sign * term_mag)
-        if term_mag < 1e-16 * max(abs(math.fsum(terms)), 1e-300):
+            total += terms[-1]
+        if term_mag < 1e-16 * max(abs(total), 1e-300):
             quiet += 1
             if quiet >= 4:
                 return math.fsum(terms)

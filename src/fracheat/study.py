@@ -3,9 +3,10 @@ consistency sweeps of the discrete operator against the closed form of
 the Gaussian's fractional Laplacian, rate fitting, and deterministic CSV
 reports.
 
-Both studies run their (s, h) cells through one sweep and return a
-StudyResult.  emit_csv writes its report to a text buffer; opening a
-file for it is the caller's job (the CLI's --out).
+Both studies run their (s, h) cells, and the h-sweep its dt-floor
+probes, through one sweep and return a StudyResult.  emit_csv writes
+its report to a text buffer; opening a file for it is the caller's job
+(the CLI's --out).
 """
 
 from __future__ import annotations
@@ -222,26 +223,23 @@ def run_study(cfg):
 
 def _dt_floor_probe(cfg, records):
     """Estimate the time-discretization error floor per s by a
-    dt-halving rerun at the finest succeeding h.
+    dt-halving rerun at the finest succeeding h, one probe cell per s
+    through _sweep.
 
     For a first-order stepper the dt error is about twice the change
-    under halving.  Returns a dict s -> floor estimate, empty for
+    under halving.  Returns a dict s -> floor estimate; an s with fewer
+    than two records, or whose probe fails, gets none.  Empty for
     mild_reference: it has no time step, so its floor is exactly 0.
     """
-    floors = {}
     if cfg.stepper == "mild_reference":
-        return floors
-    for s in sorted(cfg.s_values):
-        mine = [r for r in records if r.s == s]
-        if len(mine) < 2:
-            continue
-        finest = min(mine, key=lambda r: r.h)
-        try:
-            half = _run_cell(replace(cfg, dt=cfg.dt / 2.0), s, finest.h)
-        except Exception:  # noqa: BLE001 - probe failure just disables exclusion
-            continue
-        floors[s] = 2.0 * abs(finest.error - half.error)
-    return floors
+        return {}
+    by_s = {}
+    for r in records:
+        by_s.setdefault(r.s, []).append(r)
+    finest = {s: min(mine, key=lambda r: r.h) for s, mine in by_s.items() if len(mine) >= 2}
+    probes = _sweep([(s, r.h) for s, r in finest.items()],
+                    partial(_run_cell, replace(cfg, dt=cfg.dt / 2.0)), cfg.workers)
+    return {r.s: 2.0 * abs(finest[r.s].error - r.error) for r in probes.records}
 
 
 def fit_rates(records, dt_floor=None):

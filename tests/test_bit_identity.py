@@ -345,19 +345,6 @@ def test_scalar_l1_bitwise_equals_loop(alpha):
     assert np.array_equal(ys, _scalar_l1_loop(alpha, 1.0, 1.0, 2e-3))
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
-def test_quadrature_sum_bitwise_equals_loop(alpha):
-    # integrate sums weights * phi * g left to right; the plain loop is the reference
-    q = subordination_quadrature(alpha)
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        g = rng.standard_normal(len(q.nodes)) * rng.uniform(0.0, 1e3)
-        total = 0.0
-        for c in q.weights * q.phi * g:
-            total += c
-        assert q.integrate(g) == total
-
-
 def _spectral_samples_loop(theta, s, cusp, factors, rates):
     # the sampler as first written: one negated outer product per block
     lam = (4.0 * np.sin(theta / 2.0) ** 2) ** s
@@ -380,7 +367,7 @@ def test_spectral_samples_bitwise_equal_plain_loop():
                                                    rates).tobytes()
     q = subordination_quadrature(0.5)
     assert len(q.nodes) == 384
-    factors = q.weights * q.phi
+    factors = q.factors
     # a first grid of 1025 nodes (blocks of 127, the last one short) and
     # the 4096 new nodes of a doubling (blocks of 32)
     grids = (2.0 * math.pi * np.arange(1025) / 2048,

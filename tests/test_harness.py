@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracheat import study
 from fracheat.cli import main as cli_main
 from fracheat.study import (
     DESK_SCALE,
@@ -217,19 +218,52 @@ class TestRunStudy:
         assert res.records == []
 
     def test_workers_do_not_change_the_report(self):
+        # three h-levels, so rates are fitted and the dt/2 probes that
+        # bound them run on the pool too
         reports = []
         for workers in (1, 2):
             cfg = StudyConfig(
-                problem="example2", s_values=(0.5, 0.7), h_values=(0.2, 0.1),
-                dt=0.02, t_horizon=0.1, domain=(-1.0, 1.0), window=(-0.5, 0.5),
+                problem="example2", s_values=(0.5, 0.7), h_values=(0.2, 0.1, 0.05),
+                dt=1e-3, t_horizon=0.1, domain=(-1.0, 1.0), window=(-0.5, 0.5),
                 workers=workers,
             )
             res = run_study(cfg)
             buf = io.StringIO()
             emit_csv(res, buf)
-            reports.append((buf.getvalue(), res.failures))
-        assert len(reports[0][0].splitlines()) == 5
+            reports.append((buf.getvalue(), res.failures, res.rates))
+        assert len(reports[0][0].splitlines()) == 7
+        assert [r.s for r in reports[0][2]] == [0.5, 0.7]
         assert reports[1] == reports[0]
+
+    def test_failed_dt_probe_drops_only_its_floor(self, monkeypatch, tmp_path, capsys):
+        # the dt/2 probe of s = 0.5 raises: s = 0.5 gets no floor, s = 0.7
+        # keeps its own, and the probe is no failure of the study
+        run_cell, fit = study._run_cell, study.fit_rates
+
+        def probe_fails(cfg, s, h):
+            if cfg.dt == 0.01 and s == 0.5:
+                raise RuntimeError("probe failed")
+            return run_cell(cfg, s, h)
+
+        floors = []
+
+        def spy(records, dt_floor=None):
+            floors.append(dt_floor)
+            return fit(records, dt_floor)
+
+        monkeypatch.setattr(study, "_run_cell", probe_fails)
+        monkeypatch.setattr(study, "fit_rates", spy)
+        flags = ["--problem", "example2", "--s", "0.5,0.7", "--h", "0.2,0.1,0.05",
+                 "--dt", "0.02", "--T", "0.1", "--domain=-1,1", "--window=-0.5,0.5"]
+        res = run_study(StudyConfig(
+            problem="example2", s_values=(0.5, 0.7), h_values=(0.2, 0.1, 0.05),
+            dt=0.02, t_horizon=0.1, domain=(-1.0, 1.0), window=(-0.5, 0.5),
+        ))
+        assert res.failures == [] and len(res.records) == 6
+        assert list(floors[0]) == [0.7]
+        assert cli_main(["study", *flags, "--out", str(tmp_path / "study.csv")]) == 0
+        assert list(floors[1]) == [0.7]
+        assert "aborted" not in capsys.readouterr().err
 
 
 class TestCli:
