@@ -252,12 +252,13 @@ _PREDICTOR_STATES = 5
 def _implicit_stage(kernel, shift, rhs, nonlin, x0, ax0, t):
     """Solve shift*u + A u - f(u) = rhs for the step to time t.
 
-    x0 is the initial guess and ax0 its product A x0, or None when the
-    caller does not have it.  Returns (u, newton_iters, cg_iters,
-    residual, A u): the final product feeds the residual and then, in a
-    linear problem, the next step, whose guess is this step's u.  A
-    Newton stage whose guess already meets the tolerance returns it with
-    0 Newton and 0 CG iterations and its true residual.
+    x0 is the initial guess.  A linear stage also takes its product A x0
+    as ax0, or None when the caller does not have it; a Newton stage
+    ignores ax0.  Returns (u, newton_iters, cg_iters, residual, A u): the
+    final product feeds the residual and then, in a linear problem, the
+    next step, whose guess is this step's u.  A Newton stage whose guess
+    already meets the tolerance returns it with 0 Newton and 0 CG
+    iterations and its true residual.
 
     The Jacobian shift + A - diag(f'(u)) stays symmetric positive
     definite for dissipative nonlinearities (f' <= 0), so CG applies.
@@ -297,7 +298,7 @@ def _implicit_stage(kernel, shift, rhs, nonlin, x0, ax0, t):
 
     cg_total = 0
     u = x0.copy()
-    au = toeplitz_matvec(kernel, u) if ax0 is None else ax0
+    au = toeplitz_matvec(kernel, u)
     g = residual(u, au)
     res = float(np.max(np.abs(g)))
     tol = _NEWTON_TOL * max(1.0, float(np.max(np.abs(rhs))))
@@ -368,10 +369,8 @@ def _check_stepper_alpha(stepper, alpha):
 def _extrapolate(states):
     """Value one step on of the polynomial through the equally spaced
     states, newest first: binomial weights (k, -C(k, 2), ..., +-1) for k
-    states, summed newest first.  One state is returned itself."""
+    states, summed newest first; one state gives a copy of itself."""
     k = len(states)
-    if k == 1:
-        return states[0]
     guess = k * states[0]
     for j in range(1, k):
         guess += (-1) ** j * math.comb(k, j + 1) * states[j]

@@ -112,7 +112,7 @@ def kernel_weights(s, h, half_width):
     n = np.arange(1, half_width + 1, dtype=float)
     # log of Gamma(n-s)/Gamma(n+1+s) via cumulative sum of the ratio logs
     seed = gammaln(1.0 - s) - gammaln(2.0 + s)
-    steps = np.log(n[:-1] - s) - np.log(n[:-1] + 1.0 + s) if half_width > 1 else np.empty(0)
+    steps = np.log(n[:-1] - s) - np.log(n[:-1] + 1.0 + s)
     log_ratio = seed + np.concatenate(([0.0], np.cumsum(steps)))
     w[1:] = -pref * np.exp(log_ratio) / h2s
     return SymmetricKernel(w=w)

@@ -149,10 +149,11 @@ def gaussian_frac_laplacian(s):
 def to_evolution_problem(m, mesh, alpha=1.0, t_horizon=1.0):
     """Assemble the linear initial-value problem for a manufactured solution.
 
-    Compactly supported examples require the mesh to match their support
-    exactly (zero boundary).  The forcing is built for alpha = 1: at
-    alpha < 1, m.exact does not solve the returned problem, so errors
-    against it are not discretization errors.
+    A compactly supported example requires the mesh inside its support;
+    the study meshes the lattice nodes strictly inside it, since the
+    solution is zero on the boundary and beyond.  The forcing is built
+    for alpha = 1: at alpha < 1, m.exact does not solve the returned
+    problem, so errors against it are not discretization errors.
     """
     return _sampled_problem(m, mesh, alpha, t_horizon, None)
 

@@ -52,17 +52,21 @@ PAPER_SCALE = {"domain": (-1000.0, 1000.0), "window": (-100.0, 100.0)}
 
 _DEFAULT_H = (6.6667, 3.3333, 1.6667, 0.8333, 0.4167)
 
+_PROBLEMS = {"example1": example1, "example2": example2}
+
 
 def _check_sweep(s_values, h_values, domain, window):
     """Refuse a sweep that would measure nothing, whose report would repeat
-    a cell, or whose window reaches beyond the domain (and so would be
-    measured only in part)."""
+    a cell, that has a mesh size h <= 0, or whose window reaches beyond
+    the domain (and so would be measured only in part)."""
     if not s_values or not h_values:
         raise ValueError("s_values and h_values must not be empty")
     if len(set(s_values)) != len(s_values):
         raise ValueError("s_values must not repeat")
     if len(set(h_values)) != len(h_values):
         raise ValueError("h_values must not repeat")
+    if not all(h > 0.0 for h in h_values):
+        raise ValueError("h_values must be positive")
     if not (domain[0] <= window[0] < window[1] <= domain[1]):
         raise ValueError("window must be contained in the domain")
 
@@ -95,7 +99,8 @@ class StudyConfig:
             raise ValueError("t_horizon must be positive")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        _problem_factory(self.problem)
+        if self.problem not in _PROBLEMS:
+            raise ValueError(f"unknown problem {self.problem!r} (expected example1 or example2)")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         scheme = self.scheme()  # refuses an unknown stepper and dt <= 0
@@ -145,37 +150,22 @@ class StudyResult:
 
 
 def _snapped_mesh(h, a, b):
-    """Mesh on [a, b] with the endpoints snapped to multiples of h.
-
-    Snapping never widens the interval, so the measurement window stays
-    inside the mesh.
-    """
-    j_lo = -int(math.floor(-a / h))
-    j_hi = int(math.floor(b / h))
-    return Mesh(h=h, a=j_lo * h, b=j_hi * h)
-
-
-def _problem_factory(name):
-    if name == "example1":
-        return example1
-    if name == "example2":
-        return example2
-    raise ValueError(f"unknown problem {name!r} (expected example1 or example2)")
+    """Mesh of the lattice nodes jh in [a, b]: the endpoints snapped
+    inward to multiples of h."""
+    return Mesh(h=h, a=math.ceil(a / h) * h, b=math.floor(b / h) * h)
 
 
 def _run_cell(cfg, s, h):
-    manu = _problem_factory(cfg.problem)(s)
-    if manu.support is not None:
-        # the solution vanishes on and beyond the support boundary, so the
-        # boundary nodes belong to the (zero) exterior, not the unknowns
-        lo, hi = manu.support
-        mesh = Mesh(h=h, a=lo + h, b=hi - h)
-    else:
-        mesh = _snapped_mesh(h, *cfg.domain)
-    window = (max(cfg.window[0], mesh.a), min(cfg.window[1], mesh.b))
+    manu = _PROBLEMS[cfg.problem](s)
+    # a compactly supported solution vanishes on and beyond the support
+    # boundary, so its unknowns are the lattice nodes strictly inside the
+    # support (a node within rounding of the boundary counts as on it)
+    lo, hi = manu.support or cfg.domain
+    margin = 0.0 if manu.support is None else 1e-12 * h
+    mesh = _snapped_mesh(h, lo + margin, hi - margin)
     problem = to_evolution_problem(manu, mesh, alpha=cfg.alpha, t_horizon=cfg.t_horizon)
     scheme = cfg.scheme()
-    traj = solve(problem, scheme, exact=manu.exact, window=window)
+    traj = solve(problem, scheme, exact=manu.exact, window=cfg.window)
     # mild_reference rows carry dt = 0
     return ErrorRecord(
         problem=cfg.problem, s=s, alpha=cfg.alpha, h=h, dt=scheme.dt or 0.0,
@@ -269,13 +259,18 @@ def run_consistency_study(s_values, h_values, window=(-2.0, 2.0), domain=(-20.0,
     against its closed-form fractional Laplacian (gaussian_frac_laplacian).
 
     Every mesh is measured at the coarsest mesh's window nodes, which
-    exact h-halving keeps on every finer mesh.  Empty or repeated s or h
-    values and a window reaching beyond the domain raise ValueError
-    before any cell runs.
+    are nodes of every mesh whose h divides the coarsest one.  Empty or
+    repeated s or h values, an h that does not divide the largest and a
+    window reaching beyond the domain raise ValueError before any cell
+    runs.
     """
     _check_sweep(s_values, h_values, domain, window)
+    coarsest = max(h_values)
+    for h in h_values:
+        if abs(coarsest / h - round(coarsest / h)) > 1e-9:
+            raise ValueError(f"h = {h} does not divide the largest h = {coarsest}")
     U = gaussian_profile()
-    coarse = _snapped_mesh(max(h_values), *domain)
+    coarse = _snapped_mesh(coarsest, *domain)
     sl = coarse.window_slice(*window)
     points = coarse.nodes[sl.start:sl.stop]
 

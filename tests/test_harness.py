@@ -76,6 +76,7 @@ class TestStudyConfig:
         ({"alpha": 1.5, "stepper": "mild_reference"}, r"alpha must lie in \(0, 1\]"),
         ({"dt": 0.03, "t_horizon": 0.1}, "integer number of steps"),
         ({"problem": "example3"}, "unknown problem"),
+        ({"h_values": (0.2, 0.0)}, "h_values must be positive"),
     ])
     def test_rejects_scheme_settings_before_any_cell(self, settings, message):
         # each would fail in every cell; the sweep refuses it up front
@@ -190,10 +191,21 @@ class TestConsistencyStudy:
          "window must be contained in the domain"),
         (dict(s_values=(), h_values=(0.4, 0.2)), "must not be empty"),
         (dict(s_values=(0.5,), h_values=()), "must not be empty"),
+        (dict(s_values=(0.5,), h_values=(0.4, 0.0)), "h_values must be positive"),
+        (dict(s_values=(0.5,), h_values=(0.4, 0.3)), "h = 0.3 does not divide the largest"),
     ])
-    def test_rejects_settings_before_any_cell(self, settings, message):
+    def test_rejects_settings_before_any_cell(self, settings, message, monkeypatch):
+        cells = []
+        monkeypatch.setattr(study, "consistency_error", lambda *args, **kw: cells.append(args))
         with pytest.raises(ValueError, match=message):
             run_consistency_study(domain=(-10.0, 10.0), **settings)
+        assert cells == []
+
+    def test_h_dividing_the_largest_need_not_halve_it(self):
+        # h = 0.4 / 3 is no halving of 0.4, but every 0.4-node is one of its nodes
+        res = run_consistency_study((0.5,), (0.4, 0.4 / 3.0), window=(-1.0, 1.0),
+                                    domain=(-10.0, 10.0))
+        assert not res.failures and len(res.records) == 2
 
 
 class TestRunStudy:
@@ -206,6 +218,18 @@ class TestRunStudy:
         assert not res.failures
         assert len(res.records) == 2
         assert res.records[0].error > res.records[1].error
+
+    def test_example2_meshes_any_h(self):
+        # 1/h = 2.5 is no whole number; the h = 0.4 mesh is the nodes
+        # strictly inside the support (-1, 1), -0.8..0.8
+        cfg = StudyConfig(
+            problem="example2", s_values=(0.5,), h_values=(0.4, 0.2, 0.1),
+            dt=1e-3, t_horizon=0.1, domain=(-1.0, 1.0), window=(-0.5, 0.5),
+        )
+        res = run_study(cfg)
+        assert res.failures == []
+        errs = [r.error for r in res.records]
+        assert len(errs) == 3 and errs[0] > errs[1] > errs[2]
 
     def test_cell_isolation(self):
         # s = 0.5 is invalid for example1; the cell fails, the study survives
@@ -290,6 +314,7 @@ class TestCli:
         ["--s", "0.5", "--h", "0.4,0.2", "--window=-30,30", "--domain=-10,10"],
         ["--s", ",", "--h", "0.4,0.2"],
         ["--s", "0.5", "--h", ","],
+        ["--s", "0.5", "--h", "0.4,0.3"],
     ])
     def test_invalid_consistency_settings_exit_2(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:
