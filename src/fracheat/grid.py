@@ -21,8 +21,8 @@ __all__ = ["Mesh", "GridFunction"]
 class Mesh:
     """Uniform mesh {jh} intersected with [a, b].
 
-    a and b must be (floating-point) multiples of h with a < 0 < b;
-    nodes are jh for j = j_min..j_max.
+    a and b must be (floating-point) multiples of h with a <= 0 <= b, so
+    the mesh has at least the node 0; nodes are jh for j = j_min..j_max.
     """
 
     h: float
@@ -34,8 +34,8 @@ class Mesh:
     def __post_init__(self):
         if not self.h > 0.0:
             raise ValueError(f"mesh size must be positive, got {self.h}")
-        if not self.a < 0.0 < self.b:
-            raise ValueError(f"truncation interval must straddle 0, got [{self.a}, {self.b}]")
+        if not self.a <= 0.0 <= self.b:
+            raise ValueError(f"truncation interval must contain 0, got [{self.a}, {self.b}]")
         j_min = round(self.a / self.h)
         j_max = round(self.b / self.h)
         for j, end in ((j_min, self.a), (j_max, self.b)):

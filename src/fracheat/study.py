@@ -149,19 +149,24 @@ class StudyResult:
     failures: list = field(default_factory=list)
 
 
+_SNAP_TOL = 1e-9
+
+
 def _snapped_mesh(h, a, b):
     """Mesh of the lattice nodes jh in [a, b]: the endpoints snapped
-    inward to multiples of h."""
-    return Mesh(h=h, a=math.ceil(a / h) * h, b=math.floor(b / h) * h)
+    inward to multiples of h, an end within _SNAP_TOL h of a node counting
+    as that node (so -0.6 / 0.2 = -2.9999999999999996 snaps to -3)."""
+    return Mesh(h=h, a=math.ceil(a / h - _SNAP_TOL) * h, b=math.floor(b / h + _SNAP_TOL) * h)
 
 
 def _run_cell(cfg, s, h):
     manu = _PROBLEMS[cfg.problem](s)
     # a compactly supported solution vanishes on and beyond the support
     # boundary, so its unknowns are the lattice nodes strictly inside the
-    # support (a node within rounding of the boundary counts as on it)
+    # support; the margin is wider than _snapped_mesh's rounding tolerance,
+    # so a node within rounding of the boundary counts as on it
     lo, hi = manu.support or cfg.domain
-    margin = 0.0 if manu.support is None else 1e-12 * h
+    margin = 0.0 if manu.support is None else 2.0 * _SNAP_TOL * h
     mesh = _snapped_mesh(h, lo + margin, hi - margin)
     problem = to_evolution_problem(manu, mesh, alpha=cfg.alpha, t_horizon=cfg.t_horizon)
     scheme = cfg.scheme()
@@ -258,25 +263,17 @@ def run_consistency_study(s_values, h_values, window=(-2.0, 2.0), domain=(-20.0,
     """Sweep the operator-consistency error of the Gaussian profile over (s, h)
     against its closed-form fractional Laplacian (gaussian_frac_laplacian).
 
-    Every mesh is measured at the coarsest mesh's window nodes, which
-    are nodes of every mesh whose h divides the coarsest one.  Empty or
-    repeated s or h values, an h that does not divide the largest and a
+    Each mesh is measured over its own nodes in the window, as run_study
+    measures its cells.  Empty or repeated s or h values, an h <= 0 and a
     window reaching beyond the domain raise ValueError before any cell
     runs.
     """
     _check_sweep(s_values, h_values, domain, window)
-    coarsest = max(h_values)
-    for h in h_values:
-        if abs(coarsest / h - round(coarsest / h)) > 1e-9:
-            raise ValueError(f"h = {h} does not divide the largest h = {coarsest}")
     U = gaussian_profile()
-    coarse = _snapped_mesh(coarsest, *domain)
-    sl = coarse.window_slice(*window)
-    points = coarse.nodes[sl.start:sl.stop]
 
     def measure(s, h):
-        err = consistency_error(U, float(s), _snapped_mesh(h, *domain), points=points,
-                                exact_op=gaussian_frac_laplacian(s))
+        err = consistency_error(U, float(s), _snapped_mesh(h, *domain), window,
+                                gaussian_frac_laplacian(s))
         return ErrorRecord(problem="gaussian", s=float(s), alpha=0.0, h=float(h), dt=0.0,
                            error=err)
 

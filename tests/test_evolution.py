@@ -143,6 +143,22 @@ class TestBackwardEuler:
         newton_iters = int(traj.log[0].split(",")[2])
         assert 0 < newton_iters <= 5
 
+    def test_damped_newton_converges_where_the_full_step_overshoots(self):
+        # f(u) = -u^3 with rhs 1e3 from u = 0: the full first Newton step
+        # solves the linear stage, whose cube overshoots the residual, so
+        # the stage halves its step; full steps alone need 17 iterations
+        n, shift = 21, 1.0
+        kernel = kernel_weights(0.5, 0.5, n)
+        rhs = np.full(n, 1e3)
+        cubic = Nonlinearity(f=lambda u: -u ** 3, df=lambda u: -3.0 * u * u)
+        A = scipy.linalg.toeplitz(kernel.w[:n])
+        full = np.linalg.solve(shift * np.eye(n) + A, rhs)
+        assert np.max(np.abs(shift * full + A @ full + full ** 3 - rhs)) > np.max(rhs)
+        _, newton_iters, _, res, _ = evolution._implicit_stage(kernel, shift, rhs, cubic,
+                                                                np.zeros(n), None, 0.1)
+        assert res <= evolution._NEWTON_TOL * np.max(rhs)
+        assert newton_iters <= 10
+
     def test_alpha_mismatch_rejected(self):
         mesh = Mesh(h=0.5, a=-5.0, b=5.0)
         prob = EvolutionProblem(s=0.5, alpha=0.7, mesh=mesh, u0=_gaussian(mesh))

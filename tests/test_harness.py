@@ -100,6 +100,13 @@ class TestSnappedMesh:
         mesh = _snapped_mesh(0.4, -3.1, 7.7)
         assert abs(mesh.a / 0.4 - round(mesh.a / 0.4)) < 1e-12
 
+    def test_end_within_rounding_of_a_node_is_that_node(self):
+        # -0.6 / 0.2 = -2.9999999999999996 and -0.6 / 0.1 = -5.999999999999999:
+        # both levels keep the nodes at +-0.6, so they mesh the same interval
+        for h in (0.2, 0.1):
+            mesh = _snapped_mesh(h, -0.6, 0.6)
+            assert mesh.a == pytest.approx(-0.6) and mesh.b == pytest.approx(0.6)
+
 
 class TestFitRates:
     def test_recovers_planted_slope(self):
@@ -192,7 +199,6 @@ class TestConsistencyStudy:
         (dict(s_values=(), h_values=(0.4, 0.2)), "must not be empty"),
         (dict(s_values=(0.5,), h_values=()), "must not be empty"),
         (dict(s_values=(0.5,), h_values=(0.4, 0.0)), "h_values must be positive"),
-        (dict(s_values=(0.5,), h_values=(0.4, 0.3)), "h = 0.3 does not divide the largest"),
     ])
     def test_rejects_settings_before_any_cell(self, settings, message, monkeypatch):
         cells = []
@@ -201,9 +207,11 @@ class TestConsistencyStudy:
             run_consistency_study(domain=(-10.0, 10.0), **settings)
         assert cells == []
 
-    def test_h_dividing_the_largest_need_not_halve_it(self):
-        # h = 0.4 / 3 is no halving of 0.4, but every 0.4-node is one of its nodes
-        res = run_consistency_study((0.5,), (0.4, 0.4 / 3.0), window=(-1.0, 1.0),
+    @pytest.mark.parametrize("h_values", [(0.4, 0.4 / 3.0), (0.4, 0.3)])
+    def test_h_need_not_divide_the_largest(self, h_values):
+        # each mesh is measured over its own window nodes, so neither a
+        # non-halving h (0.4 / 3) nor a non-nesting one (0.3) is refused
+        res = run_consistency_study((0.5,), h_values, window=(-1.0, 1.0),
                                     domain=(-10.0, 10.0))
         assert not res.failures and len(res.records) == 2
 
@@ -230,6 +238,17 @@ class TestRunStudy:
         assert res.failures == []
         errs = [r.error for r in res.records]
         assert len(errs) == 3 and errs[0] > errs[1] > errs[2]
+
+    def test_example2_meshes_h_of_one_and_above(self):
+        # for h >= 1 the only node strictly inside the support (-1, 1) is 0,
+        # so the cell solves on the one-node mesh [0, 0]
+        cfg = StudyConfig(
+            problem="example2", s_values=(0.5,), h_values=(2.0, 1.0, 0.5),
+            dt=1e-3, t_horizon=0.1, domain=(-1.0, 1.0), window=(-0.5, 0.5),
+        )
+        res = run_study(cfg)
+        assert res.failures == []
+        assert [r.h for r in res.records] == [2.0, 1.0, 0.5]
 
     def test_cell_isolation(self):
         # s = 0.5 is invalid for example1; the cell fails, the study survives
@@ -314,7 +333,6 @@ class TestCli:
         ["--s", "0.5", "--h", "0.4,0.2", "--window=-30,30", "--domain=-10,10"],
         ["--s", ",", "--h", "0.4,0.2"],
         ["--s", "0.5", "--h", ","],
-        ["--s", "0.5", "--h", "0.4,0.3"],
     ])
     def test_invalid_consistency_settings_exit_2(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -181,12 +181,9 @@ class TestConsistency:
         U = gaussian_profile()
         errs = []
         hs = (0.4, 0.2, 0.1)
-        mesh0 = Mesh(h=0.4, a=-20.0, b=20.0)
-        sl = mesh0.window_slice(-2.0, 2.0)
-        points = mesh0.nodes[sl.start:sl.stop]
         for h in hs:
             mesh = Mesh(h=h, a=-20.0, b=20.0)
-            errs.append(consistency_error(U, s, mesh, points=points,
+            errs.append(consistency_error(U, s, mesh, window=(-2.0, 2.0),
                                           exact_op=gaussian_frac_laplacian(s)))
         assert errs[0] > errs[1] > errs[2]
         order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -203,7 +200,8 @@ class TestConsistency:
         direct = toeplitz_direct(kernel_weights(s, mesh.h, mesh.n_points),
                                  gaussian_profile()(mesh.nodes))
         ref = np.max(np.abs(direct[sl] - exact_op(points)))
-        got = consistency_error(gaussian_profile(), s, mesh, points=points, exact_op=exact_op)
+        got = consistency_error(gaussian_profile(), s, mesh, window=(-2.0, 2.0),
+                                exact_op=exact_op)
         assert abs(got - ref) < 1e-12 * max(1.0, np.max(np.abs(direct)))
 
     def test_samples_once_per_mesh(self):
@@ -219,21 +217,22 @@ class TestConsistency:
             return op(x)
 
         mesh = Mesh(h=0.25, a=-5.0, b=5.0)
-        consistency_error(counted_U, 0.5, mesh, points=mesh.nodes[10:31], exact_op=counted_op)
+        consistency_error(counted_U, 0.5, mesh, window=(-2.5, 2.5), exact_op=counted_op)
         assert calls == {"U": 1, "exact_op": 1}
 
     def test_rejects_nonfinite_profile(self):
         mesh = Mesh(h=0.5, a=-5.0, b=5.0)
         U = lambda x: np.where(x > 1.0, np.nan, np.exp(-x * x))
         with pytest.raises(ValueError, match="finite"):
-            consistency_error(U, 0.5, mesh, points=[0.0], exact_op=gaussian_frac_laplacian(0.5))
+            consistency_error(U, 0.5, mesh, window=(-1.0, 1.0),
+                              exact_op=gaussian_frac_laplacian(0.5))
 
-    def test_points_must_be_nodes(self):
+    def test_window_without_nodes_refused_before_sampling(self):
         def U(x):
-            raise AssertionError("profile sampled before the points were checked")
+            raise AssertionError("profile sampled before the window was checked")
 
         mesh = Mesh(h=0.5, a=-5.0, b=5.0)
-        for p in (0.3, 5.5, -5.5, math.nan):
-            with pytest.raises(ValueError, match="not a node"):
-                consistency_error(U, 0.5, mesh, points=[0.0, p],
+        for window in ((0.1, 0.4), (5.5, 6.0), (-6.0, -5.5)):
+            with pytest.raises(ValueError, match="contains no mesh nodes"):
+                consistency_error(U, 0.5, mesh, window=window,
                                   exact_op=gaussian_frac_laplacian(0.5))

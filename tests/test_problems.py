@@ -244,7 +244,7 @@ class TestGaussianProfile:
 
     @pytest.mark.parametrize("s", [0.3, 0.6, 0.75])
     def test_closed_form_against_oracle(self, s):
-        # the window nodes of the acceptance consistency sweep: the coarsest
+        # the window nodes of the acceptance consistency sweep's coarsest
         # mesh (h = 0.8 on [-20, 20]) inside the window (-2, 2)
         op = gaussian_frac_laplacian(s)
         for x in (-1.6, -0.8, 0.0, 0.8, 1.6):
