@@ -7,10 +7,12 @@ both in double precision.
 The Mittag-Leffler series reads its log-gamma values gammaln(alpha n + beta)
 from a per-(alpha, beta) table made by one array gammaln call, cached as a
 tuple of floats and rebuilt at twice the length when a series runs past
-its end; the values are bitwise those of scalar gammaln calls.  Only the
-Mittag-Leffler integral uses an adaptive quadrature, and it imports
-scipy.integrate on its first call, so importing this module does not
-load it; the Wright integral is a numpy trapezoid rule and never does.
+its end; the values are bitwise those of scalar gammaln calls.  Past
+its float series each function integrates by one numpy trapezoid rule,
+so no path through this module loads scipy.integrate.  The rule starts
+on 64 intervals and doubles them, sampling only the new nodes, until two
+grids agree to 1e-13 relative; the 2^16-interval grid is accepted up to
+1e-11 relative, and SeriesConvergenceError is raised past that.
 
 All routines are pure functions of their arguments and can be called
 concurrently from any number of threads.
@@ -42,6 +44,11 @@ class SeriesConvergenceError(RuntimeError):
 _ML_CANCEL_MAX = 3.0      # largest |z|^(1/alpha) the float series tolerates
 _ML_MAX_TERMS = 200_000
 _ML_CHI_MAX = 745.0       # exp(-chi^(1/alpha)) is 0 in doubles beyond chi^(1/alpha) = 745
+_ML_DECAY_SPAN = 40.0     # the tail's u-range starts where e^{rate u} is e^-40
+_TRAPEZOID_FIRST_NODES = 64     # first grid of both integrals
+_TRAPEZOID_MAX_NODES = 1 << 16  # largest grid before an integral is refused
+_TRAPEZOID_RTOL = 1e-13         # doubling stops once two grids agree to this, relative
+_TRAPEZOID_REFUSE_RTOL = 1e-11  # a larger gap between the last two grids is refused
 
 
 @lru_cache(maxsize=65536)
@@ -64,17 +71,17 @@ def mittag_leffler(alpha, z, beta=1.0):
     so the branch depends on that scale rather than on z alone.  For
     z >= 0 and for |z|^{1/alpha} <= 3 the power series is summed in
     floats with a compensated (fsum) total.  For z = -x beyond that, with
-    alpha < 1 and beta < 1 + alpha, the positive-integrand representation
+    alpha < 1 and beta < 1 + alpha, the real-integral representation
     of Gorenflo, Loutchko and Luchko (FCAA 5, 2002)
         E_{alpha,beta}(-x) = 1/(alpha pi) integral_0^inf chi^{(1-beta)/alpha}
             exp(-chi^{1/alpha}) (chi sin pi(1-beta) + x sin pi(1-beta+alpha))
             / (chi^2 + 2 chi x cos(alpha pi) + x^2) dchi
-    is integrated by adaptive Gauss-Kronrod up to chi = 745^alpha, where
-    the exponential underflows, with a breakpoint at chi = x (the
-    integrand peaks there as alpha approaches 1);
-    SeriesConvergenceError is raised if the error estimate exceeds 1e-11
-    relative.  Other (alpha, beta, z), which neither branch covers, raise
-    ValueError.
+    is integrated by the module's trapezoid rule over u = ln chi in
+    [-40/(1 + (1-beta)/alpha), alpha ln 745], past whose ends the integrand
+    has fallen by e^-40 and exp(-chi^{1/alpha}) underflows, in t with
+    u = min(ln x, alpha ln 745) + pi (1-alpha) sinh(t): for x in the range
+    the poles at u = ln x +- i pi (1-alpha) go to t = +- i pi/2.  Other
+    (alpha, beta, z), which neither branch covers, raise ValueError.
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -85,7 +92,7 @@ def mittag_leffler(alpha, z, beta=1.0):
         raise ValueError(f"beta must be positive, got {beta}")
     if alpha == 1.0 and beta == 1.0:
         return math.exp(z)
-    if z >= 0.0 or abs(z) ** (1.0 / alpha) <= _ML_CANCEL_MAX:
+    if z >= 0.0 or abs(z) <= _ML_CANCEL_MAX ** alpha:
         return _ml_series_float(alpha, beta, z)
     if alpha == 1.0 or beta >= 1.0 + alpha:
         raise ValueError(
@@ -104,6 +111,8 @@ def _ml_series_float(alpha, beta, z):
     if z == 0.0:
         return math.exp(-gammaln(beta))
     log_az = math.log(abs(z))
+    if log_az > 700.0 * alpha:  # the largest term, ~e^{|z|^(1/alpha)}, overflows
+        raise SeriesConvergenceError(f"Mittag-Leffler series overflows for z={z}")
     sgn = 1.0 if z > 0.0 else -1.0
     # index after which terms decrease monotonically
     n_peak = (abs(z) ** (1.0 / alpha) - beta) / alpha + 2.0
@@ -132,29 +141,45 @@ def _ml_series_float(alpha, beta, z):
 
 
 def _ml_integral(alpha, beta, x):
-    power = (1.0 - beta) / alpha
-    s1 = _sinpi(1.0 - beta)
-    s2 = x * _sinpi(1.0 - beta + alpha)
-    shift = x * math.cos(alpha * math.pi)
-    gap = x * math.sin(alpha * math.pi)
+    # numerator and denominator are divided by x^2 so that no x overflows, and
+    # both end values are 0, as the range is truncated there.  For x past
+    # chi_max the sinh map is centred on u_hi, where u keeps its digits
+    rate = 1.0 + (1.0 - beta) / alpha  # the integrand grows like e^{rate u}
+    s1, s2 = _sinpi(1.0 - beta), _sinpi(1.0 - beta + alpha)
+    shift, gap = math.cos(alpha * math.pi), math.sin(alpha * math.pi)
+    u_lo, u_hi = -_ML_DECAY_SPAN / rate, alpha * math.log(_ML_CHI_MAX)
+    c, d = min(math.log(x), u_hi), math.pi * (1.0 - alpha)
 
-    def integrand(chi):
-        # chi^2 + 2 chi x cos(alpha pi) + x^2 as a sum of two squares, which
-        # keeps its relative accuracy near alpha = 1 where the terms cancel
-        den = (chi + shift) ** 2 + gap * gap
-        return chi ** power * math.exp(-chi ** (1.0 / alpha)) * (chi * s1 + s2) / den
+    def integrand(t):
+        u = c + d * np.sinh(t)
+        r = np.exp(u) / x
+        # (chi^2 + 2 chi x cos(alpha pi) + x^2) / x^2 as a sum of two squares,
+        # which keeps its relative accuracy near alpha = 1 where terms cancel
+        den = (r + shift) ** 2 + gap * gap
+        f = np.exp(rate * u - np.exp(u / alpha)) * (r * s1 + s2) / den
+        return float(np.sum(f * d * np.cosh(t)))
 
-    from scipy.integrate import quad
+    t_lo, t_hi = math.asinh((u_lo - c) / d), math.asinh((u_hi - c) / d)
+    what = f"Mittag-Leffler integral for alpha={alpha}, beta={beta}, z={-x}"
+    return _trapezoid(integrand, t_lo, t_hi, 0.0, what) / (alpha * math.pi * x)
 
-    chi_max = _ML_CHI_MAX ** alpha
-    points = (x,) if x < chi_max else None
-    val, err = quad(integrand, 0.0, chi_max, points=points, epsabs=0.0, epsrel=1e-13, limit=200)
-    if not err <= 1e-11 * abs(val):
-        raise SeriesConvergenceError(
-            f"Mittag-Leffler integral did not converge for alpha={alpha}, "
-            f"beta={beta}, z={-x}: {val!r} +- {err!r}"
-        )
-    return val / (alpha * math.pi)
+
+def _trapezoid(integrand, lo, hi, ends, what):
+    """The module's trapezoid rule on [lo, hi]: integrand sums its samples at
+    an array of interior nodes, ends is half the end values' sum."""
+    m = _TRAPEZOID_FIRST_NODES
+    total = ends + integrand(lo + (hi - lo) * np.arange(1, m) / m)
+    val, gap = (hi - lo) * total / m, math.inf
+    while 2 * m <= _TRAPEZOID_MAX_NODES:
+        total += integrand(lo + (hi - lo) * np.arange(1, 2 * m, 2) / (2 * m))
+        m *= 2
+        prev, val = val, (hi - lo) * total / m
+        gap = abs(val - prev)
+        if gap <= _TRAPEZOID_RTOL * abs(val):
+            break
+    if not gap <= _TRAPEZOID_REFUSE_RTOL * abs(val):
+        raise SeriesConvergenceError(f"{what} did not settle on {m} intervals: {val!r} +- {gap!r}")
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +189,6 @@ def _ml_integral(alpha, beta, x):
 _WRIGHT_SERIES_DECAY = 1.0   # largest decay exponent E summed by the series
 _WRIGHT_UNDERFLOW = 800.0    # exp(-E) with E beyond this is 0 in doubles
 _WRIGHT_MAX_TERMS = 100_000
-_WRIGHT_FIRST_NODES = 64      # first trapezoid grid of the integral on [0, pi]
-_WRIGHT_MAX_NODES = 1 << 16   # largest grid before the integral is refused
-_WRIGHT_RTOL = 1e-13          # doubling stops once two grids agree to this, relative
-_WRIGHT_REFUSE_RTOL = 1e-11   # a larger gap between the last two grids is refused
 
 
 @lru_cache(maxsize=65536)
@@ -192,13 +213,9 @@ def wright_phi(alpha, x):
     values keep their relative accuracy.  The factored integrand
     K exp(-X (K - K(0))) is even in phi and, as K grows without bound
     at phi = pi, flat there to all orders, so its periodic extension is
-    smooth and the plain trapezoid rule on [0, pi] converges geometrically
-    (Trefethen and Weideman, SIAM Review 56, 2014).  The rule starts on 64
-    intervals and doubles them, sampling only the new nodes, until two
-    grids agree to 1e-13 relative.  Rounding can keep them further apart
-    as alpha nears 1; the 2^16-interval grid is then accepted if it agrees
-    with its predecessor to 1e-11 relative, and SeriesConvergenceError is
-    raised otherwise.  Values below the double underflow threshold return 0.
+    smooth and the module's trapezoid rule on [0, pi] converges
+    geometrically (Trefethen and Weideman, SIAM Review 56, 2014).
+    Values below the double underflow threshold return 0.
     """
     alpha = float(alpha)
     x = float(x)
@@ -234,26 +251,12 @@ def _wright_integral(alpha, x, decay):
         live = d < 745.0 / big_x
         return float(np.sum(k[live] * np.exp(-big_x * d[live])))
 
-    # trapezoid rule on [0, pi]: the phi = 0 node is the limit K(0) = k0
-    # and the phi = pi node is 0; each doubling adds the new odd nodes
-    m = _WRIGHT_FIRST_NODES
-    total = 0.5 * k0 + integrand(math.pi * np.arange(1, m) / m)
-    val, gap = math.pi * total / m, math.inf
-    while 2 * m <= _WRIGHT_MAX_NODES:
-        total += integrand(math.pi * np.arange(1, 2 * m, 2) / (2 * m))
-        m *= 2
-        prev, val = val, math.pi * total / m
-        gap = abs(val - prev)
-        if gap <= _WRIGHT_RTOL * val:
-            break
-    # rounding in K, amplified about q X K(0) = q E times in the exponent,
-    # can keep the grids apart by more than _WRIGHT_RTOL as alpha nears 1;
-    # the largest grid is then accepted up to the refusal bound
-    if not (val > 0.0 and gap <= _WRIGHT_REFUSE_RTOL * val):
-        raise SeriesConvergenceError(
-            f"Wright integral did not settle for alpha={alpha}, x={x} within "
-            f"{m} trapezoid nodes: {val!r} +- {gap!r}"
-        )
+    # the phi = 0 node is the limit K(0) = k0 and the phi = pi node is 0; the
+    # refusal bound absorbs rounding in K, which the exponent amplifies ~q E times
+    what = f"Wright integral for alpha={alpha}, x={x}"
+    val = _trapezoid(integrand, 0.0, math.pi, 0.5 * k0, what)
+    if not val > 0.0:
+        raise SeriesConvergenceError(f"{what} is {val!r}")
     return math.exp(alpha * q * math.log(x) - decay + math.log(val / (math.pi * (1.0 - alpha))))
 
 

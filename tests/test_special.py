@@ -87,13 +87,26 @@ class TestMittagLeffler:
             mittag_leffler(0.5, -10.0, beta=2.0)
         with pytest.raises(SeriesConvergenceError):
             mittag_leffler(0.3, 100.0)
+        # |z|^(1/alpha) overflows a double; the series is refused before it
+        with pytest.raises(SeriesConvergenceError):
+            mittag_leffler(0.5, 1e200)
         # the extended-precision range limit |z|^(1/alpha) <= 2000 is gone
         assert mittag_leffler(0.3, -100.0) == pytest.approx(
             _ml_asymptotic(0.3, 1.0, 100.0), rel=1e-12
         )
 
 
-_ML_ALPHAS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99]
+_ML_ALPHAS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999]
+_ML_SCALES = (3.0001, 5.0, 12.0, 30.0, 80.0, 200.0)
+
+# (beta, z, rel) beyond beta in {1, alpha}: beta = 1.3 > 1, whose integrand
+# decays most slowly below the range of the rule, and z = -3.2246 next to the
+# sign change of E_{0.8,0.7} near z = -3.227, where the small value keeps
+# fewer digits
+_ML_EXTRA_CASES = {
+    0.5: [(1.3, -scale ** 0.5, 1e-12) for scale in _ML_SCALES],
+    0.8: [(0.7, -3.2246, 1e-11)],
+}
 
 
 def _ml_series_mp(alpha, beta, z):
@@ -133,18 +146,17 @@ class TestMittagLefflerIntegral:
     @pytest.mark.parametrize("alpha", _ML_ALPHAS)
     def test_matches_extended_precision_series(self, alpha):
         # |z|^(1/alpha) from just past the series/integral switch at 3 to 200
-        for beta in (1.0, alpha):
-            for scale in (3.0001, 5.0, 12.0, 30.0, 80.0, 200.0):
-                z = -scale ** alpha
-                ref = _ml_series_mp(alpha, beta, z)
-                assert mittag_leffler(alpha, z, beta) == pytest.approx(
-                    ref, rel=1e-12, abs=0.0
-                ), (beta, scale)
+        cases = [(beta, -scale ** alpha, 1e-12) for beta in (1.0, alpha) for scale in _ML_SCALES]
+        for beta, z, rel in cases + _ML_EXTRA_CASES.get(alpha, []):
+            ref = _ml_series_mp(alpha, beta, z)
+            assert mittag_leffler(alpha, z, beta) == pytest.approx(ref, rel=rel, abs=0.0), (beta, z)
 
     @pytest.mark.parametrize("alpha", _ML_ALPHAS)
     def test_matches_asymptotic_series(self, alpha):
-        for beta in (1.0, alpha):
-            for x in (1e4, 1e8):
+        # x^2 overflows a double past x = 1.3e154; there the beta = alpha
+        # value, whose leading term vanishes, underflows, so only beta = 1
+        for beta, xs in ((1.0, (1e4, 1e8, 1e160, 1e300)), (alpha, (1e4, 1e8))):
+            for x in xs:
                 ref = _ml_asymptotic(alpha, beta, x)
                 assert mittag_leffler(alpha, -x, beta) == pytest.approx(
                     ref, rel=1e-12, abs=0.0
@@ -184,56 +196,37 @@ _FOOTPRINT_SCRIPT = """
 import sys
 import numpy as np
 from fracheat import EvolutionProblem, GridFunction, Mesh, SchemeConfig, solve
-from fracheat.special import mittag_leffler
+from fracheat.evolution import evaluate_mild
+from fracheat.problems import example2, to_evolution_problem
+from fracheat.semigroup import subordinated_kernel, subordination_quadrature
+from fracheat.special import mittag_leffler, wright_phi
 mesh = Mesh(h=0.5, a=-5.0, b=5.0)
 prob = EvolutionProblem(s=0.5, alpha=1.0, mesh=mesh, t_horizon=0.05,
                         u0=GridFunction(mesh, np.exp(-mesh.nodes ** 2)))
 solve(prob, SchemeConfig(stepper="backward_euler", dt=0.01))
-assert {module!r} not in sys.modules, {module!r} + " loaded"
-print(repr(mittag_leffler(0.5, -100.0)))
-assert "scipy.integrate" in sys.modules, "the integral ran without scipy.integrate"
-"""
-
-
-@pytest.mark.parametrize("module", ["mpmath", "scipy.integrate", "scipy.optimize"])
-def test_library_leaves_module_out(module):
-    # mpmath is the tests' oracle only, and may be installed; scipy.integrate
-    # (which loads scipy.optimize) is imported only by the Mittag-Leffler
-    # integral, on first use.  Importing the library and marching a few
-    # steps must load none of them.  This process has loaded them all
-    # already, so a fresh interpreter checks; its Mittag-Leffler value past
-    # the float series then loads scipy.integrate.
-    run = _run_fresh(_FOOTPRINT_SCRIPT.format(module=module))
-    assert run.returncode == 0, run.stderr
-    want = mittag_leffler(0.5, -100.0)
-    assert float(run.stdout) == want
-
-
-_SUBORDINATION_FOOTPRINT_SCRIPT = """
-import sys
-from fracheat import Mesh
-from fracheat.evolution import evaluate_mild
-from fracheat.problems import example2, to_evolution_problem
-from fracheat.semigroup import subordinated_kernel, subordination_quadrature
-from fracheat.special import wright_phi
 assert len(subordination_quadrature(0.5).nodes) > 0
 assert wright_phi(0.5, 10.0) > 0.0          # integral branch
 assert subordinated_kernel(0.5, 0.5, 0.5, 0.1, 8).w[0] > 0.0
 prob = to_evolution_problem(example2(0.9), Mesh(0.25, -0.75, 0.75), alpha=0.5, t_horizon=0.05)
 assert evaluate_mild(prob, 0.05).values.max() > 0.0
-loaded = [m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg") if m in sys.modules]
-assert not loaded, loaded
+print(repr(mittag_leffler(0.5, -100.0)))    # integral branch
+assert {module!r} not in sys.modules, {module!r} + " loaded"
 """
 
 
-def test_subordination_path_leaves_integrate_out():
-    # the Wright density's trapezoid rule runs in numpy, so the whole
-    # subordination path (quadrature, kernels, mild solution) loads neither
-    # scipy.integrate nor the scipy.optimize it would pull in; the mild
+@pytest.mark.parametrize("module", ["mpmath", "scipy.integrate", "scipy.optimize", "scipy.linalg"])
+def test_library_leaves_module_out(module):
+    # mpmath is the tests' oracle only, and may be installed.  Both special
+    # function integrals are numpy trapezoid rules, so neither scipy.integrate
+    # nor the scipy.optimize it would pull in is needed, and the mild
     # solution's eigendecomposition is numpy's, so scipy.linalg (and its
-    # import time) stays out too
-    run = _run_fresh(_SUBORDINATION_FOOTPRINT_SCRIPT)
+    # import time) stays out too.  Marching a few steps, the subordination
+    # path (quadrature, kernels, mild solution) and a Mittag-Leffler value
+    # past the float series must load none of them.  This process has loaded
+    # them all already, so a fresh interpreter checks.
+    run = _run_fresh(_FOOTPRINT_SCRIPT.format(module=module))
     assert run.returncode == 0, run.stderr
+    assert float(run.stdout) == mittag_leffler(0.5, -100.0)
 
 
 def _x_at_decay(alpha, decay):
@@ -259,7 +252,7 @@ class TestWright:
     def test_integral_refuses_unsettled_grid(self, monkeypatch):
         # with the node cap at the first grid no doubling can confirm the
         # value, so the integral must raise rather than return it
-        monkeypatch.setattr(special, "_WRIGHT_MAX_NODES", special._WRIGHT_FIRST_NODES)
+        monkeypatch.setattr(special, "_TRAPEZOID_MAX_NODES", special._TRAPEZOID_FIRST_NODES)
         with pytest.raises(SeriesConvergenceError, match="did not settle"):
             special.wright_phi.__wrapped__(0.05, 20.0)
 
