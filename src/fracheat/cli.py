@@ -27,7 +27,8 @@ import argparse
 import sys
 from contextlib import nullcontext
 
-from .study import PAPER_SCALE, StudyConfig, emit_csv, run_consistency_study, run_study
+from .evolution import _STEPPERS
+from .study import _PROBLEMS, PAPER_SCALE, StudyConfig, emit_csv, run_consistency_study, run_study
 
 
 def _parse_floats(text):
@@ -74,7 +75,7 @@ def _build_parser():
 
     st = sub.add_parser("study", help="h-sweep convergence study of a manufactured example")
     st.add_argument("--config", help="key = value config file (flags override it)")
-    st.add_argument("--problem", choices=("example1", "example2"))
+    st.add_argument("--problem", choices=tuple(_PROBLEMS))
     st.add_argument("--s", type=_parse_floats, dest="s_values", metavar="LIST")
     st.add_argument("--alpha", type=float)
     st.add_argument("--h", type=_parse_floats, dest="h_values", metavar="LIST")
@@ -82,7 +83,7 @@ def _build_parser():
     st.add_argument("--domain", type=_parse_pair, metavar="A,B")
     st.add_argument("--window", type=_parse_pair, metavar="C,D")
     st.add_argument("--T", type=float, dest="t_horizon")
-    st.add_argument("--stepper", choices=("backward_euler", "l1_caputo", "mild_reference"))
+    st.add_argument("--stepper", choices=_STEPPERS)
     st.add_argument("--out", help="CSV output path (default: stdout)")
     st.add_argument("--paper-scale", nargs="?", const=True, default=False, type=_parse_bool,
                     metavar="BOOL", help="use the full-size domain and window")

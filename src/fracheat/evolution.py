@@ -56,6 +56,8 @@ __all__ = [
     "evaluate_mild",
 ]
 
+_STEPPERS = ("backward_euler", "l1_caputo", "mild_reference")
+
 
 @dataclass(frozen=True)
 class Nonlinearity:
@@ -122,7 +124,7 @@ class SchemeConfig:
     dt: Optional[float] = None
 
     def __post_init__(self):
-        if self.stepper not in ("backward_euler", "l1_caputo", "mild_reference"):
+        if self.stepper not in _STEPPERS:
             raise ValueError(f"unknown stepper {self.stepper!r}")
         if self.stepper == "mild_reference":
             if self.dt is not None:

@@ -173,8 +173,8 @@ class SubordinationQuadrature:
 
     nodes tau_i and factors f_i = w_i Phi_alpha(tau_i), the panel weights
     times the density, discretize integral_0^inf Phi_alpha(tau) g(tau) dtau
-    as sum_i f_i g(tau_i).  Construction validates the p = 0 and p = 1
-    moments to 1e-8.
+    as sum_i f_i g(tau_i).  subordination_quadrature, which builds it,
+    checks the p = 0 and p = 1 moments to 1e-8.
     """
 
     nodes: np.ndarray

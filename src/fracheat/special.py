@@ -66,13 +66,13 @@ def mittag_leffler(alpha, z, beta=1.0):
 
     Notes
     -----
-    At alpha = beta = 1 this is exp(z).  The series of an alternating
-    argument cancels down from a largest term of size ~e^{|z|^{1/alpha}},
-    so the branch depends on that scale rather than on z alone.  For
-    z >= 0 and for |z|^{1/alpha} <= 3 the power series is summed in
-    floats with a compensated (fsum) total.  For z = -x beyond that, with
-    alpha < 1 and beta < 1 + alpha, the real-integral representation
-    of Gorenflo, Loutchko and Luchko (FCAA 5, 2002)
+    At alpha = beta = 1 this is exp(z), refused where it overflows.  The
+    series of an alternating argument cancels down from a largest term of
+    size ~e^{|z|^{1/alpha}}, so the branch depends on that scale rather
+    than on z alone.  For z >= 0 and for |z|^{1/alpha} <= 3 the power
+    series is summed in floats with a compensated (fsum) total.  For
+    z = -x beyond that, with alpha < 1 and beta < 1 + alpha, the
+    real-integral representation of Gorenflo, Loutchko and Luchko (FCAA 5, 2002)
         E_{alpha,beta}(-x) = 1/(alpha pi) integral_0^inf chi^{(1-beta)/alpha}
             exp(-chi^{1/alpha}) (chi sin pi(1-beta) + x sin pi(1-beta+alpha))
             / (chi^2 + 2 chi x cos(alpha pi) + x^2) dchi
@@ -91,7 +91,10 @@ def mittag_leffler(alpha, z, beta=1.0):
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     if alpha == 1.0 and beta == 1.0:
-        return math.exp(z)
+        try:
+            return math.exp(z)
+        except OverflowError:
+            raise SeriesConvergenceError(f"exp(z) overflows for z={z}") from None
     if z >= 0.0 or abs(z) <= _ML_CANCEL_MAX ** alpha:
         return _ml_series_float(alpha, beta, z)
     if alpha == 1.0 or beta >= 1.0 + alpha:
@@ -225,7 +228,10 @@ def wright_phi(alpha, x):
         raise ValueError(f"wright_phi requires x >= 0, got {x}")
     if x == 0.0:
         return 1.0 / math.gamma(1.0 - alpha)
-    decay = (1.0 - alpha) * (alpha ** alpha * x) ** (1.0 / (1.0 - alpha))
+    try:
+        decay = (1.0 - alpha) * (alpha ** alpha * x) ** (1.0 / (1.0 - alpha))
+    except OverflowError:  # decay is then far past _WRIGHT_UNDERFLOW
+        return 0.0
     if decay <= _WRIGHT_SERIES_DECAY:
         return _wright_series_float(alpha, x)
     if decay > _WRIGHT_UNDERFLOW:

@@ -100,7 +100,7 @@ class StudyConfig:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.problem not in _PROBLEMS:
-            raise ValueError(f"unknown problem {self.problem!r} (expected example1 or example2)")
+            raise ValueError(f"unknown problem {self.problem!r}; expected one of {list(_PROBLEMS)}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         scheme = self.scheme()  # refuses an unknown stepper and dt <= 0

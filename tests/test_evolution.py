@@ -89,15 +89,19 @@ class TestScalarL1:
 
 class TestBackwardEuler:
     def test_zero_data_zero_forcing_stays_zero(self):
+        # the linear march hands CG a zero right-hand side at every step
         mesh = Mesh(h=0.5, a=-10.0, b=10.0)
         nl = Nonlinearity(f=lambda u: -u ** 3, df=lambda u: -3.0 * u * u)
-        prob = EvolutionProblem(
-            s=0.5, alpha=1.0, mesh=mesh,
-            u0=GridFunction(mesh, np.zeros(mesh.n_points)),
-            t_horizon=0.1, nonlinearity=nl,
-        )
-        traj = solve(prob, SchemeConfig(stepper="backward_euler", dt=0.02))
-        assert traj.final.sup_norm() == 0.0
+        for nonlinearity in (nl, None):
+            prob = EvolutionProblem(
+                s=0.5, alpha=1.0, mesh=mesh,
+                u0=GridFunction(mesh, np.zeros(mesh.n_points)),
+                t_horizon=0.1, nonlinearity=nonlinearity,
+            )
+            traj = solve(prob, SchemeConfig(stepper="backward_euler", dt=0.02),
+                         exact=lambda t, x: np.zeros_like(x))
+            assert traj.sup_error == 0.0  # over every state, t = 0 included
+            assert traj.log == [f"{n},{0.02 * n:.10g},0,0,0.000e+00" for n in range(1, 6)]
 
     def test_sup_norm_stability_homogeneous(self):
         rng = np.random.default_rng(5)
@@ -240,12 +244,17 @@ class TestMildReference:
             SchemeConfig(stepper=stepper, dt=dt)
 
     def test_rejects_negative_time(self):
-        # t^alpha of a negative t is complex; a NaN t reached GridFunction
-        prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
-                                    alpha=0.5, t_horizon=0.2)
-        for t in (-0.1, math.nan):
-            with pytest.raises(ValueError, match="t must be non-negative"):
-                evaluate_mild(prob, t)
+        # t^alpha of a negative t is complex; a NaN t reached GridFunction.
+        # t = 0 itself gives u0, in an array of its own
+        for alpha in (0.5, 1.0):
+            prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
+                                        alpha=alpha, t_horizon=0.2)
+            for t in (-0.1, math.nan):
+                with pytest.raises(ValueError, match="t must be non-negative"):
+                    evaluate_mild(prob, t)
+            u = evaluate_mild(prob, 0.0).values
+            assert u.tobytes() == prob.u0.values.tobytes()
+            assert not np.shares_memory(u, prob.u0.values)
 
     def test_refuses_modes_past_the_wright_limit(self):
         # s = 0.9, h = 0.0125: t^alpha max(lambda) is about 4,200 at t = 0.2,

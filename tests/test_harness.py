@@ -5,6 +5,7 @@ import io
 import math
 import pkgutil
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -77,6 +78,8 @@ class TestStudyConfig:
         ({"dt": 0.03, "t_horizon": 0.1}, "integer number of steps"),
         ({"problem": "example3"}, "unknown problem"),
         ({"h_values": (0.2, 0.0)}, "h_values must be positive"),
+        ({"stepper": "mild_reference", "alpha": 0.5, "t_horizon": 0.0},
+         "t_horizon must be positive"),
     ])
     def test_rejects_scheme_settings_before_any_cell(self, settings, message):
         # each would fail in every cell; the sweep refuses it up front
@@ -379,7 +382,7 @@ class TestCli:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(
-            "problem = example2\ns = 0.7\nh = 0.2,0.1\n"
+            "# example 2 on a small domain\n\nproblem = example2\ns = 0.7\nh = 0.2,0.1\n"
             "dt = 0.02\nT = 0.1\ndomain = -1,1\nwindow = -0.5,0.5\n"
         )
         out_path = tmp_path / "study.csv"
@@ -470,15 +473,16 @@ def test_demos_import_only_existing_names():
 
 
 def test_exports_name_existing_objects():
-    # a stale __all__ entry breaks only `from fracheat.<module> import *`,
-    # and a package export missing from its module's __all__ hides it there
+    # a stale __all__ entry breaks `from fracheat.<module> import *`, and the
+    # package's public names, submodules aside, are exactly its modules' __all__
     package = importlib.import_module("fracheat")
+    exported = set()
     for info in pkgutil.iter_modules(package.__path__):
         module = importlib.import_module(f"fracheat.{info.name}")
-        for name in getattr(module, "__all__", ()):
+        names = getattr(module, "__all__", ())
+        for name in names:
             assert hasattr(module, name), f"fracheat.{info.name}.__all__ names {name}"
-    for node in ast.parse(Path(package.__file__).read_text()).body:
-        if isinstance(node, ast.ImportFrom):
-            module = importlib.import_module(f"fracheat.{node.module}")
-            for alias in node.names:
-                assert alias.name in module.__all__, f"fracheat.{node.module}.{alias.name}"
+        exported.update(names)
+    public = {name for name, obj in vars(package).items()
+              if not name.startswith("_") and not isinstance(obj, ModuleType)}
+    assert public == exported

@@ -121,6 +121,11 @@ class TestSubordination:
         # EvolutionProblem accepts alpha up to 1, the quadrature only up to 0.94
         subordination_quadrature(0.99)
 
+    def test_quadrature_rejects_alpha_one(self):
+        # Phi_1 is a unit mass, which callers take as the node tau = 1
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            subordination_quadrature(1.0)
+
     @pytest.mark.parametrize("alpha", [0.4, 0.8])
     @pytest.mark.parametrize("lam", [0.5, 2.0])
     @pytest.mark.parametrize("t", [0.25, 1.0])
@@ -180,6 +185,11 @@ class TestSubordination:
         # a negative t made t ** alpha complex, whose real part was returned
         with pytest.raises(ValueError, match="t must be non-negative"):
             subordinate_scalar_S(0.5, 1.0, t)
+
+    def test_scalar_P_rejects_zero_time(self):
+        # its factor t^(alpha - 1) is unbounded at t = 0
+        with pytest.raises(ValueError, match="the forcing propagator requires t > 0"):
+            subordinate_scalar_P(0.5, 1.0, 0.0)
 
     @pytest.mark.parametrize("weighted_by_tau", [False, True])
     def test_kernel_refuses_past_the_wright_limit(self, weighted_by_tau):

@@ -51,6 +51,7 @@ class TestMittagLeffler:
     def test_alpha_one_is_exp(self):
         for z in np.linspace(-5.0, 5.0, 21):
             assert mittag_leffler(1.0, float(z)) == pytest.approx(math.exp(z), rel=1e-12)
+        assert mittag_leffler(1.0, 709.0) == math.exp(709.0)
 
     def test_half_order_closed_form(self):
         # E_{1/2,1}(z) = e^{z^2} erfc(-z)
@@ -90,6 +91,10 @@ class TestMittagLeffler:
         # |z|^(1/alpha) overflows a double; the series is refused before it
         with pytest.raises(SeriesConvergenceError):
             mittag_leffler(0.5, 1e200)
+        # at alpha = beta = 1 the value exp(z) itself overflows a double
+        for z in (710.0, 1000.0):
+            with pytest.raises(SeriesConvergenceError):
+                mittag_leffler(1.0, z)
         # the extended-precision range limit |z|^(1/alpha) <= 2000 is gone
         assert mittag_leffler(0.3, -100.0) == pytest.approx(
             _ml_asymptotic(0.3, 1.0, 100.0), rel=1e-12
@@ -290,6 +295,9 @@ class TestWright:
         vals = [wright_phi(0.7, x) for x in np.linspace(0.0, 12.0, 30)]
         assert all(v >= 0.0 for v in vals)
         assert vals[-1] < 1e-12 * vals[0]
+        # far past the underflow, where the decay exponent itself overflows
+        assert wright_phi(0.5, 1e200) == 0.0
+        assert wright_phi(0.3, 1e300) == 0.0
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
