@@ -17,8 +17,10 @@ the subcommand has no flag for is rejected.  The CSV report goes to --out
 (default stdout) unless no cell succeeded; aborted cells and fitted rates
 go to stderr.  Exit code is 0 on success, 1 if any study cell aborted and
 2 on a usage error, which includes settings the study refuses (an empty
-or repeated s or h list, an h <= 0, a window outside the domain,
-dt <= 0, an alpha outside (0, 1] or one the stepper cannot take).
+or repeated s or h list, an h <= 0, a non-finite h, domain or window, a
+window outside the domain, dt <= 0, a non-finite dt or T, a T / dt that
+is not finite or is less than one step, an alpha outside (0, 1] or one
+the stepper cannot take).
 """
 
 from __future__ import annotations

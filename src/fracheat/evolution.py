@@ -149,10 +149,16 @@ class Trajectory:
 
 def _n_steps(horizon, dt):
     """Number of steps dt > 0 in the horizon; raises ValueError unless the
-    horizon is positive and a whole number of steps."""
+    horizon is positive and a whole number of at least one step, and
+    horizon / dt is finite."""
     if not horizon > 0.0:
         raise ValueError(f"the horizon must be positive, got {horizon}")
-    n = round(horizon / dt)
+    ratio = horizon / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"horizon / dt must be finite, got {horizon} / {dt}")
+    n = round(ratio)
+    if n < 1:
+        raise ValueError(f"the horizon {horizon} is less than one step dt={dt}")
     if abs(n * dt - horizon) > 1e-9 * horizon:
         raise ValueError("the horizon must be an integer number of steps")
     return n
@@ -169,10 +175,13 @@ def caputo_l1_weights(alpha, n_steps, dt):
     """L1 discretization weights b_k = ((k+1)^{1-a} - k^{1-a}) dt^{-a} / Gamma(2-a).
 
     Positive and strictly decreasing in k; b_0 plays the role of the
-    diagonal shift of the implicit stage.  Raises ValueError unless dt > 0.
+    diagonal shift of the implicit stage.  Raises ValueError unless
+    n_steps >= 1 and dt > 0.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1) for the L1 scheme, got {alpha}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     k = np.arange(n_steps, dtype=float)

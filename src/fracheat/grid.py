@@ -21,8 +21,9 @@ __all__ = ["Mesh", "GridFunction"]
 class Mesh:
     """Uniform mesh {jh} intersected with [a, b].
 
-    a and b must be (floating-point) multiples of h with a <= 0 <= b, so
-    the mesh has at least the node 0; nodes are jh for j = j_min..j_max.
+    h, a and b must be finite, and a and b (floating-point) multiples of
+    h with a <= 0 <= b, so the mesh has at least the node 0; nodes are jh
+    for j = j_min..j_max.
     """
 
     h: float
@@ -32,6 +33,8 @@ class Mesh:
     j_max: int = field(init=False)
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.h, self.a, self.b))):
+            raise ValueError(f"h, a and b must be finite, got {self.h}, {self.a}, {self.b}")
         if not self.h > 0.0:
             raise ValueError(f"mesh size must be positive, got {self.h}")
         if not self.a <= 0.0 <= self.b:

@@ -1,8 +1,9 @@
 """Special functions used by the fractional-diffusion kernels and solvers.
 
-Provides the two parameter Mittag-Leffler function for real arguments
-and 0 < alpha <= 1, and the Wright probability density on [0, inf),
-both in double precision.
+Provides the two parameter Mittag-Leffler function for 0 < alpha <= 1
+at real z <= 0, the arguments of fractional relaxation (every real z at
+alpha = beta = 1, where it is exp(z)), and the Wright probability density
+on [0, inf), both in double precision.
 
 The Mittag-Leffler series reads its log-gamma values gammaln(alpha n + beta)
 from a per-(alpha, beta) table made by one array gammaln call, cached as a
@@ -38,10 +39,10 @@ class SeriesConvergenceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Mittag-Leffler function E_{alpha,beta}(z), real z
+# Mittag-Leffler function E_{alpha,beta}(z), real z <= 0
 # ---------------------------------------------------------------------------
 
-_ML_CANCEL_MAX = 3.0      # largest |z|^(1/alpha) the float series tolerates
+_ML_CANCEL_MAX = 3.0      # largest (-z)^(1/alpha) the float series tolerates
 _ML_MAX_TERMS = 200_000
 _ML_CHI_MAX = 745.0       # exp(-chi^(1/alpha)) is 0 in doubles beyond chi^(1/alpha) = 745
 _ML_DECAY_SPAN = 40.0     # the tail's u-range starts where e^{rate u} is e^-40
@@ -58,21 +59,23 @@ def mittag_leffler(alpha, z, beta=1.0):
     Parameters
     ----------
     alpha : float in (0, 1]
-    z : float
-        Real argument; strongly negative z is the main use (decay
-        profiles of fractional relaxation).
+    z : float <= 0
+        Real argument, as in the decay profiles E_alpha(-lambda t^alpha)
+        of fractional relaxation; any real z at alpha = beta = 1.
     beta : float > 0, optional
         Second parameter; the solvers use beta = 1 and beta = alpha.
 
     Notes
     -----
-    At alpha = beta = 1 this is exp(z), refused where it overflows.  The
-    series of an alternating argument cancels down from a largest term of
-    size ~e^{|z|^{1/alpha}}, so the branch depends on that scale rather
-    than on z alone.  For z >= 0 and for |z|^{1/alpha} <= 3 the power
-    series is summed in floats with a compensated (fsum) total.  For
-    z = -x beyond that, with alpha < 1 and beta < 1 + alpha, the
-    real-integral representation of Gorenflo, Loutchko and Luchko (FCAA 5, 2002)
+    At alpha = beta = 1 this is exp(z), refused where it overflows.
+    Otherwise a z > 0 raises ValueError, as does a NaN z for every
+    (alpha, beta), before any series or integral runs.  The series at
+    z = -x cancels down from a largest term of size ~e^{x^{1/alpha}}, so
+    the branch depends on that scale rather than on z alone.  For
+    x^{1/alpha} <= 3 the power series is summed in floats with a
+    compensated (fsum) total.  Beyond that, with alpha < 1 and
+    beta < 1 + alpha, the real-integral representation of Gorenflo,
+    Loutchko and Luchko (FCAA 5, 2002)
         E_{alpha,beta}(-x) = 1/(alpha pi) integral_0^inf chi^{(1-beta)/alpha}
             exp(-chi^{1/alpha}) (chi sin pi(1-beta) + x sin pi(1-beta+alpha))
             / (chi^2 + 2 chi x cos(alpha pi) + x^2) dchi
@@ -90,12 +93,16 @@ def mittag_leffler(alpha, z, beta=1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
+    if math.isnan(z):
+        raise ValueError("z must not be NaN")
     if alpha == 1.0 and beta == 1.0:
         try:
             return math.exp(z)
         except OverflowError:
             raise SeriesConvergenceError(f"exp(z) overflows for z={z}") from None
-    if z >= 0.0 or abs(z) <= _ML_CANCEL_MAX ** alpha:
+    if z > 0.0:
+        raise ValueError(f"z must be <= 0 unless alpha = beta = 1, got z={z}")
+    if -z <= _ML_CANCEL_MAX ** alpha:
         return _ml_series_float(alpha, beta, z)
     if alpha == 1.0 or beta >= 1.0 + alpha:
         raise ValueError(
@@ -111,35 +118,26 @@ def _ml_gammaln_table(alpha, beta, size):
 
 
 def _ml_series_float(alpha, beta, z):
+    # z lies in [-3^alpha, 0], where no term exceeds e^2.65, so none overflows
     if z == 0.0:
         return math.exp(-gammaln(beta))
-    log_az = math.log(abs(z))
-    if log_az > 700.0 * alpha:  # the largest term, ~e^{|z|^(1/alpha)}, overflows
-        raise SeriesConvergenceError(f"Mittag-Leffler series overflows for z={z}")
-    sgn = 1.0 if z > 0.0 else -1.0
+    log_az = math.log(-z)
     # index after which terms decrease monotonically
-    n_peak = (abs(z) ** (1.0 / alpha) - beta) / alpha + 2.0
+    n_peak = ((-z) ** (1.0 / alpha) - beta) / alpha + 2.0
     lgam = _ml_gammaln_table(alpha, beta, 64)
     terms = []
     total = 0.0
     prev_mag = math.inf
-    n = 0
-    while n < _ML_MAX_TERMS:
+    for n in range(_ML_MAX_TERMS):
         if n == len(lgam):
             lgam = _ml_gammaln_table(alpha, beta, 2 * n)
-        log_mag = n * log_az - lgam[n]
-        mag = math.exp(log_mag) if log_mag < 700.0 else math.inf
-        if math.isinf(mag):
-            raise SeriesConvergenceError(
-                f"Mittag-Leffler series overflowed at n={n} for z={z}"
-            )
-        term = (sgn ** n) * mag
+        mag = math.exp(n * log_az - lgam[n])
+        term = (-1.0) ** n * mag
         terms.append(term)
         total += term
         if n > n_peak and mag < prev_mag and mag < 1e-17 * max(abs(total), 1e-300):
             return math.fsum(terms)
         prev_mag = mag
-        n += 1
     raise SeriesConvergenceError(f"Mittag-Leffler series did not converge for z={z}")
 
 
@@ -224,7 +222,7 @@ def wright_phi(alpha, x):
     x = float(x)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"wright_phi requires x >= 0, got {x}")
     if x == 0.0:
         return 1.0 / math.gamma(1.0 - alpha)

@@ -57,16 +57,19 @@ _PROBLEMS = {"example1": example1, "example2": example2}
 
 def _check_sweep(s_values, h_values, domain, window):
     """Refuse a sweep that would measure nothing, whose report would repeat
-    a cell, that has a mesh size h <= 0, or whose window reaches beyond
-    the domain (and so would be measured only in part)."""
+    a cell, that has a mesh size h <= 0, a non-finite h, domain or window, or
+    whose window reaches beyond the domain (and so would be measured only
+    in part)."""
     if not s_values or not h_values:
         raise ValueError("s_values and h_values must not be empty")
     if len(set(s_values)) != len(s_values):
         raise ValueError("s_values must not repeat")
     if len(set(h_values)) != len(h_values):
         raise ValueError("h_values must not repeat")
-    if not all(h > 0.0 for h in h_values):
-        raise ValueError("h_values must be positive")
+    if not all(0.0 < h < math.inf for h in h_values):
+        raise ValueError("h_values must be positive and finite")
+    if not np.all(np.isfinite((*domain, *window))):
+        raise ValueError(f"domain and window must be finite, got {domain} and {window}")
     if not (domain[0] <= window[0] < window[1] <= domain[1]):
         raise ValueError("window must be contained in the domain")
 
@@ -95,8 +98,8 @@ class StudyConfig:
         if not all(x > y for x, y in zip(self.h_values, self.h_values[1:])):
             raise ValueError("h_values must be strictly decreasing")
         _check_sweep(self.s_values, self.h_values, self.domain, self.window)
-        if not self.t_horizon > 0.0:
-            raise ValueError("t_horizon must be positive")
+        if not 0.0 < self.t_horizon < math.inf:
+            raise ValueError(f"t_horizon must be positive and finite, got {self.t_horizon}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.problem not in _PROBLEMS:
@@ -128,8 +131,8 @@ class ErrorRecord:
     wall_ms: float = 0.0
 
     def __post_init__(self):
-        if self.error < 0.0:
-            raise ValueError("error must be non-negative")
+        if not self.error >= 0.0:
+            raise ValueError(f"error must be non-negative, got {self.error}")
 
 
 @dataclass(frozen=True)
@@ -264,9 +267,9 @@ def run_consistency_study(s_values, h_values, window=(-2.0, 2.0), domain=(-20.0,
     against its closed-form fractional Laplacian (gaussian_frac_laplacian).
 
     Each mesh is measured over its own nodes in the window, as run_study
-    measures its cells.  Empty or repeated s or h values, an h <= 0 and a
-    window reaching beyond the domain raise ValueError before any cell
-    runs.
+    measures its cells.  Empty or repeated s or h values, an h <= 0, a
+    non-finite h, domain or window and a window reaching beyond the domain
+    raise ValueError before any cell runs.
     """
     _check_sweep(s_values, h_values, domain, window)
     U = gaussian_profile()

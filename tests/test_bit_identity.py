@@ -437,13 +437,12 @@ def _ml_series_loop(alpha, beta, z):
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
 def test_ml_series_bitwise_equals_scalar_gammaln_loop(alpha):
     # the arguments -t^alpha of the scalar L1 check, t = 0..2 at dt = 1e-3,
-    # and their mirror images, for both beta the solvers use
+    # for both beta the solvers use
     times = np.arange(2001) * 1e-3
     for beta in (1.0, alpha):
         for t in times:
-            for z in (-(t ** alpha), t ** alpha):
-                z = float(z)
-                assert _ml_series_float(alpha, beta, z) == _ml_series_loop(alpha, beta, z)[0]
+            z = float(-(t ** alpha))
+            assert _ml_series_float(alpha, beta, z) == _ml_series_loop(alpha, beta, z)[0]
 
 
 def test_ml_series_bitwise_past_the_first_table():
@@ -451,7 +450,7 @@ def test_ml_series_bitwise_past_the_first_table():
     # 64 of the first gammaln table, so the table is rebuilt longer
     alpha = 0.1
     for beta in (1.0, alpha):
-        for z in (-(2.9 ** alpha), 2.9 ** alpha, -(3.0 ** alpha)):
+        for z in (-(2.9 ** alpha), -(3.0 ** alpha)):
             want, n_terms = _ml_series_loop(alpha, beta, z)
             assert n_terms > 64
             assert _ml_series_float(alpha, beta, z) == want

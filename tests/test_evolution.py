@@ -54,6 +54,10 @@ class TestL1Weights:
         with pytest.raises(ValueError, match="dt"):
             caputo_l1_weights(0.5, 3, dt)
 
+    def test_rejects_no_steps(self):
+        with pytest.raises(ValueError, match="n_steps"):
+            caputo_l1_weights(0.5, 0, 0.1)
+
     @given(alpha=st.floats(0.05, 0.95))
     @settings(max_examples=25, deadline=None)
     def test_weights_decreasing_any_alpha(self, alpha):
@@ -79,6 +83,16 @@ class TestScalarL1:
     @pytest.mark.parametrize("t_final, dt", [(2.0, -1e-3), (-2.0, -1e-3), (1.0, 0.0)])
     def test_rejects_non_positive_dt(self, t_final, dt):
         with pytest.raises(ValueError, match="dt"):
+            solve_scalar_l1(0.5, 1.0, t_final, dt)
+
+    @pytest.mark.parametrize("t_final, dt, message", [
+        (math.inf, 0.01, "must be finite"),
+        (1e300, 1e-300, "must be finite"),
+        (1.0, math.inf, "less than one step"),
+        (0.1, 0.3, "less than one step"),
+    ])
+    def test_rejects_step_counts_that_are_not_finite_or_positive(self, t_final, dt, message):
+        with pytest.raises(ValueError, match=message):
             solve_scalar_l1(0.5, 1.0, t_final, dt)
 
     @pytest.mark.parametrize("t_final", [-2.0, 0.0])

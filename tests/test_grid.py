@@ -23,6 +23,14 @@ class TestMesh:
         with pytest.raises(ValueError):
             Mesh(h=0.0, a=-1.0, b=1.0)
 
+    @pytest.mark.parametrize("h, a, b", [
+        (0.5, -np.inf, 1.0), (0.5, -1.0, np.inf), (np.inf, 0.0, 0.0), (np.nan, -1.0, 1.0),
+        (0.5, np.nan, 1.0),
+    ])
+    def test_rejects_nonfinite(self, h, a, b):
+        with pytest.raises(ValueError, match="must be finite"):
+            Mesh(h=h, a=a, b=b)
+
     def test_window_slice(self):
         mesh = Mesh(h=0.5, a=-2.0, b=2.0)
         sl = mesh.window_slice(-1.0, 1.0)

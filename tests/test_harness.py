@@ -80,6 +80,13 @@ class TestStudyConfig:
         ({"h_values": (0.2, 0.0)}, "h_values must be positive"),
         ({"stepper": "mild_reference", "alpha": 0.5, "t_horizon": 0.0},
          "t_horizon must be positive"),
+        ({"stepper": "mild_reference", "alpha": 0.5, "t_horizon": math.inf},
+         "t_horizon must be positive and finite"),
+        ({"dt": math.inf}, "less than one step"),
+        ({"dt": 1e-300, "t_horizon": 1e300}, "horizon / dt must be finite"),
+        ({"h_values": (math.inf, 0.2)}, "h_values must be positive and finite"),
+        ({"domain": (-math.inf, math.inf)}, "domain and window must be finite"),
+        ({"window": (-math.inf, 1.0)}, "domain and window must be finite"),
     ])
     def test_rejects_scheme_settings_before_any_cell(self, settings, message):
         # each would fail in every cell; the sweep refuses it up front
@@ -179,6 +186,11 @@ class TestEmitCsv:
         with pytest.raises(ValueError):
             emit_csv(StudyResult(), io.StringIO())
 
+    @pytest.mark.parametrize("error", [-0.1, math.nan])
+    def test_record_refuses_negative_or_nan_error(self, error):
+        with pytest.raises(ValueError, match="error must be non-negative"):
+            ErrorRecord(problem="example1", s=0.4, alpha=1.0, h=0.4, dt=1e-3, error=error)
+
 
 class TestConsistencyStudy:
     def test_small_sweep_decreasing(self):
@@ -202,12 +214,14 @@ class TestConsistencyStudy:
         (dict(s_values=(), h_values=(0.4, 0.2)), "must not be empty"),
         (dict(s_values=(0.5,), h_values=()), "must not be empty"),
         (dict(s_values=(0.5,), h_values=(0.4, 0.0)), "h_values must be positive"),
+        (dict(s_values=(0.5,), h_values=(0.4, 0.2), domain=(-math.inf, math.inf)),
+         "domain and window must be finite"),
     ])
     def test_rejects_settings_before_any_cell(self, settings, message, monkeypatch):
         cells = []
         monkeypatch.setattr(study, "consistency_error", lambda *args, **kw: cells.append(args))
         with pytest.raises(ValueError, match=message):
-            run_consistency_study(domain=(-10.0, 10.0), **settings)
+            run_consistency_study(**{"domain": (-10.0, 10.0), **settings})
         assert cells == []
 
     @pytest.mark.parametrize("h_values", [(0.4, 0.4 / 3.0), (0.4, 0.3)])
@@ -353,6 +367,25 @@ class TestCli:
         assert exc.value.code == 2
         assert not out_path.exists()
         assert "dt must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("study", ["--dt", "inf", "--T", "0.1"], "less than one step"),
+        ("study", ["--dt", "0.05", "--T", "inf"], "t_horizon must be positive and finite"),
+        ("study", ["--dt", "1e-300", "--T", "1e300"], "horizon / dt must be finite"),
+        ("study", ["--dt", "0.05", "--T", "0.1", "--domain=-inf,inf"], "must be finite"),
+        ("consistency", ["--domain=-inf,inf"], "must be finite"),
+        ("consistency", ["--window=-inf,1"], "must be finite"),
+    ])
+    def test_non_finite_settings_exit_2_and_write_no_file(self, command, flags, message,
+                                                         tmp_path, capsys):
+        out_path = tmp_path / "refused.csv"
+        problem = ["--problem", "example2"] if command == "study" else []
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, *problem, "--s", "0.5", "--h", "0.2,0.1", *flags,
+                      "--out", str(out_path)])
+        assert exc.value.code == 2
+        assert not out_path.exists()
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags,domain,window", [
         (["--paper-scale"], PAPER_SCALE["domain"], PAPER_SCALE["window"]),

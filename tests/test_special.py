@@ -55,7 +55,7 @@ class TestMittagLeffler:
 
     def test_half_order_closed_form(self):
         # E_{1/2,1}(z) = e^{z^2} erfc(-z)
-        for z in (-3.0, -1.2, -0.3, 0.4, 1.7):
+        for z in (-3.0, -1.7, -1.2, -0.4, -0.3):
             ref = math.exp(z * z) * math.erfc(-z)
             assert mittag_leffler(0.5, z) == pytest.approx(ref, rel=1e-11)
 
@@ -72,6 +72,23 @@ class TestMittagLeffler:
             ref = float(mpmath.nsum(lambda k: mpmath.mpf(z) ** k / mpmath.gamma(a * k + 1), [0, mpmath.inf]))
         assert mittag_leffler(alpha, z) == pytest.approx(ref, rel=1e-11)
 
+    @pytest.mark.parametrize("alpha,beta,z,message", [
+        (0.5, 1.0, 0.1, "z must be <= 0"),
+        (0.5, 0.5, 2.0, "z must be <= 0"),
+        (1.0, 0.7, 1e-300, "z must be <= 0"),
+        (0.7, 1.0, math.inf, "z must be <= 0"),
+        (0.5, 1.0, math.nan, "NaN"),
+        (0.8, 0.8, math.nan, "NaN"),
+        (1.0, 1.0, math.nan, "NaN"),
+    ])
+    def test_refused_before_any_series_or_integral(self, alpha, beta, z, message, monkeypatch):
+        calls = []
+        for name in ("_ml_series_float", "_ml_integral"):
+            monkeypatch.setattr(special, name, lambda *args, name=name: calls.append(name))
+        with pytest.raises(ValueError, match=message):
+            mittag_leffler(alpha, z, beta)
+        assert calls == []
+
     def test_monotone_relaxation(self):
         vals = [mittag_leffler(0.6, -t) for t in np.linspace(0.0, 20.0, 40)]
         assert all(a > b > 0.0 for a, b in zip(vals, vals[1:]))
@@ -86,10 +103,10 @@ class TestMittagLeffler:
         # beta >= 1 + alpha with a large negative z: neither branch applies
         with pytest.raises(ValueError):
             mittag_leffler(0.5, -10.0, beta=2.0)
-        with pytest.raises(SeriesConvergenceError):
+        # z > 0 is refused up front, however large
+        with pytest.raises(ValueError, match="z must be <= 0"):
             mittag_leffler(0.3, 100.0)
-        # |z|^(1/alpha) overflows a double; the series is refused before it
-        with pytest.raises(SeriesConvergenceError):
+        with pytest.raises(ValueError, match="z must be <= 0"):
             mittag_leffler(0.5, 1e200)
         # at alpha = beta = 1 the value exp(z) itself overflows a double
         for z in (710.0, 1000.0):
@@ -304,6 +321,13 @@ class TestWright:
             wright_phi(1.0, 1.0)
         with pytest.raises(ValueError):
             wright_phi(0.5, -0.1)
+
+    def test_rejects_nan_before_any_quadrature(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(special, "_trapezoid", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="x >= 0"):
+            wright_phi(0.5, math.nan)
+        assert calls == []
 
 
 def _wright_series_mp(alpha, x):
