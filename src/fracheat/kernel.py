@@ -3,11 +3,11 @@
 Builds the explicit convolution weights of the operator (fractional
 power of the 3-point second-difference Laplacian), applies the operator
 to a value array as a symmetric Toeplitz convolution by FFT circulant
-embedding (toeplitz_matvec, the one way every caller applies it), and
-measures the discrete/continuous consistency error against a closed form
-of the continuous fractional Laplacian.  Independent routes to the same
-weights and products (the alternating-sign closed form, the O(N^2)
-direct sum) and a singular-integral quadrature of the continuous
+embedding (toeplitz_matvec, the one way every caller applies it).  The
+consistency of the operator with the continuous fractional Laplacian is
+measured by the study module (run_consistency_study).  Independent routes
+to the same weights and products (the alternating-sign closed form, the
+O(N^2) direct sum) and a singular-integral quadrature of the continuous
 operator live in the tests as oracles.
 """
 
@@ -21,14 +21,11 @@ from scipy.fft import next_fast_len
 from scipy.fft._pocketfft.pypocketfft import c2r, r2c
 from scipy.special import gammaln
 
-from .grid import GridFunction
-
 __all__ = [
     "SymmetricKernel",
     "kernel_weights",
     "toeplitz_matvec",
     "frac_laplacian_constant",
-    "consistency_error",
 ]
 
 
@@ -156,20 +153,3 @@ def toeplitz_matvec(kernel, values):
     conv = c2r(spec, (0,), size, False, 2, None, 1)  # scaled by 1/size, as irfft
     return conv[n_half : n_half + m]
 
-
-def consistency_error(U, s, mesh, window, exact_op):
-    """Sup-norm gap, over the mesh nodes in the window, between the
-    discrete operator of the sampled profile and the continuous operator.
-
-    The discrete side applies the lattice kernel to U(mesh.nodes) (zero
-    beyond the mesh); the continuous side is the closed form exact_op of
-    (-Laplacian)^s U.  U and exact_op are vectorized callables, each
-    called once.  The nodes measured are mesh.window_slice(*window), as
-    in solve(..., window=), so a window holding no node raises ValueError
-    before U is sampled, as does a non-finite sample of U.
-    """
-    sl = mesh.window_slice(*window)
-    xs = mesh.nodes
-    u = GridFunction(mesh, U(xs))
-    disc = toeplitz_matvec(kernel_weights(s, mesh.h, mesh.n_points), u.values)
-    return float(np.max(np.abs(disc[sl] - exact_op(xs[sl]))))

@@ -8,7 +8,8 @@ source G = -U + (-Laplacian)^s U, so discretization error can be
 measured directly.  U and G are sampled once per mesh; each step only
 scales them by tau(t).  That holds for the first-order time derivative
 (alpha = 1) only: for alpha < 1 the same forcing is passed on, and
-e^{-t} U does not solve the Caputo problem.
+e^{-t} U does not solve the Caputo problem.  The consistency study's
+profile gaussian_profile(x) = e^{-x^2} and its closed form live here too.
 """
 
 from __future__ import annotations
@@ -122,14 +123,10 @@ def example2(s):
     return ManufacturedSolution("example2", s, _decay, profile, source, support=(-1.0, 1.0))
 
 
-def gaussian_profile():
-    """Smooth rapidly decaying profile used by the consistency study, as a
-    vectorized callable x -> e^{-x^2}."""
-
-    def U(x):
-        return np.exp(-x * x)
-
-    return U
+def gaussian_profile(x):
+    """The smooth rapidly decaying profile e^{-x^2} of the consistency
+    study, vectorized over x."""
+    return np.exp(-x * x)
 
 
 def gaussian_frac_laplacian(s):

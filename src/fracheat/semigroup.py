@@ -2,12 +2,13 @@
 operators of the time-fractional problem.
 
 Each solution operator is a sum over one Wright rule (_wright_rule) of
-semigroup terms exp(-tau_i t^alpha A): below alpha = 1 the nodes tau_i
-and factors f_i = w_i Phi_alpha(tau_i) of subordination_quadrature,
-built once per alpha, and at alpha = 1, where Phi_1 is the unit mass at
-tau = 1, the single node tau = 1, exactly.  Both kernel builders go
-through one front end (_kernel); one per-mode sum (_mode_sum) serves
-evolution.evaluate_mild and the scalar reductions.
+semigroup terms exp(-tau_i t^alpha A): at t > 0 below alpha = 1 the
+nodes tau_i and factors f_i = w_i Phi_alpha(tau_i) of
+subordination_quadrature, built once per alpha; at alpha = 1, where
+Phi_1 is the unit mass at tau = 1, and at t = 0, where every term is the
+identity, the single node tau = 1 weighted by the Wright moment, exactly.
+Both kernel builders go through one front end (_kernel); one per-mode
+sum (_mode_sum) serves evolution.evaluate_mild and the scalar reductions.
 The kernels are the Fourier coefficients of one spectral integrand,
     g(theta) = sum_i f_i exp(-tau_i t^alpha h^{-2s} lam(theta)),
     lam(theta) = (4 sin^2(theta/2))^s.
@@ -237,16 +238,20 @@ def _wright_rule(alpha, t, lam_max, weighted_by_tau):
     """Nodes tau_i and factors f_i of the Wright sum
     sum_i f_i exp(-tau_i t^alpha lam) for rates lam <= lam_max.
 
-    At alpha = 1, Phi_1 is the unit mass at tau = 1: one node with factor
-    1, exact.  Below 1 it is the nodes and factors w_i Phi_alpha(tau_i)
-    of subordination_quadrature(alpha), times tau_i with tau weighting.
-    Raises ValueError for alpha outside (0, 1], and SeriesConvergenceError
-    below 1 once z = t^alpha lam_max exceeds _WRIGHT_Z_MAX.
+    At alpha = 1 (Phi_1 is the unit mass at tau = 1) and at t = 0 it is
+    one node whose factor is the Wright moment, 1, or 1/Gamma(1+alpha)
+    with tau weighting, exact.  Otherwise it is the nodes and factors
+    w_i Phi_alpha(tau_i) of subordination_quadrature(alpha), times tau_i
+    with tau weighting.  Raises ValueError for alpha outside (0, 1] or t
+    outside [0, inf), and SeriesConvergenceError once z = t^alpha lam_max
+    exceeds _WRIGHT_Z_MAX below alpha = 1.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if alpha == 1.0:
-        return np.ones(1), np.ones(1)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be non-negative and finite, got {t}")
+    if alpha == 1.0 or t == 0.0:
+        return np.ones(1), np.full(1, 1.0 / math.gamma(1.0 + alpha) if weighted_by_tau else 1.0)
     quadr = subordination_quadrature(alpha)
     z = t ** alpha * lam_max
     if z > _WRIGHT_Z_MAX:
@@ -265,15 +270,13 @@ def _kernel(s, h, alpha, t, half_width, weighted_by_tau, tol):
         raise ValueError(f"s must lie in (0, 1], got {s}")
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
-    if not t >= 0.0:
-        raise ValueError(f"t must be non-negative, got {t}")
     if half_width < 0:
         raise ValueError(f"half_width must be non-negative, got {half_width}")
     h2s = h ** (2.0 * s)
     nodes, factors = _wright_rule(alpha, t, 4.0 ** s / h2s, weighted_by_tau)
     if t == 0.0:
         w = np.zeros(half_width + 1)
-        w[0] = 1.0 / math.gamma(1.0 + alpha) if weighted_by_tau else 1.0
+        w[0] = factors[0]
         return SymmetricKernel(w=w)
     return _spectral_kernel(s, h, t, half_width, factors, nodes * t ** alpha / h2s, tol)
 
@@ -310,9 +313,9 @@ def subordinated_kernel(s, h, alpha, t, half_width, weighted_by_tau=False):
     spectral integrand; at alpha = 1 it is the semigroup kernel.  At t = 0
     it is exactly the identity, times the first Wright moment
     1/Gamma(1+alpha) with tau weighting.  Raises ValueError unless
-    s in (0, 1], h > 0, t >= 0, half_width >= 0 and alpha in (0, 1], and
-    SeriesConvergenceError once z = t^alpha 4^s / h^{2s} (t^alpha times
-    the symbol's maximum, at theta = pi) exceeds _WRIGHT_Z_MAX.
+    s in (0, 1], h > 0, t finite and >= 0, half_width >= 0 and
+    alpha in (0, 1], and SeriesConvergenceError once z = t^alpha 4^s / h^{2s}
+    (t^alpha times the symbol's maximum, at theta = pi) exceeds _WRIGHT_Z_MAX.
     """
     return _kernel(s, h, alpha, t, half_width, weighted_by_tau, _SUBORDINATED_TOL)
 
@@ -321,12 +324,10 @@ def subordinate_scalar_S(alpha, lam, t):
     """Scalar reduction of the subordinated propagator: the quadrature
     applied to exp(-lam tau t^alpha).  Equals E_{alpha,1}(-lam t^alpha)
     up to quadrature error (classical subordination identity), and
-    exp(-lam t) exactly at alpha = 1.  Raises ValueError unless t >= 0
-    and lam >= 0, and SeriesConvergenceError once z = lam t^alpha exceeds
-    _WRIGHT_Z_MAX.
+    exp(-lam t) exactly at alpha = 1; exactly 1 at t = 0.  Raises
+    ValueError unless t is finite and >= 0 and lam >= 0, and
+    SeriesConvergenceError once z = lam t^alpha exceeds _WRIGHT_Z_MAX.
     """
-    if not t >= 0.0:
-        raise ValueError(f"t must be non-negative, got {t}")
     return float(_mode_sum(alpha, t, lam))
 
 

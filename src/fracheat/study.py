@@ -4,9 +4,10 @@ the Gaussian's fractional Laplacian, rate fitting, and deterministic CSV
 reports.
 
 Both studies run their (s, h) cells, and the h-sweep its dt-floor
-probes, through one sweep and return a StudyResult.  emit_csv writes
-its report to a text buffer; opening a file for it is the caller's job
-(the CLI's --out).
+probes, through one sweep and return a StudyResult; each cell is a
+module-level function of (s, h), _run_cell or _consistency_cell.
+emit_csv writes its report to a text buffer; opening a file for it is
+the caller's job (the CLI's --out).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .evolution import SchemeConfig, _check_stepper_alpha, solve
 from .grid import Mesh
-from .kernel import consistency_error
+from .kernel import kernel_weights, toeplitz_matvec
 from .problems import (
     example1,
     example2,
@@ -262,6 +263,19 @@ def fit_rates(records, dt_floor=None):
     return rates
 
 
+def _consistency_cell(domain, window, s, h):
+    """ErrorRecord of the sup gap, over the nodes in the window of the mesh
+    snapped into the domain, between the lattice operator applied to the
+    sampled Gaussian (zero beyond the mesh) and its closed form.  A window
+    holding no node raises ValueError before the profile is sampled."""
+    mesh = _snapped_mesh(h, *domain)
+    sl = mesh.window_slice(*window)
+    xs = mesh.nodes
+    disc = toeplitz_matvec(kernel_weights(float(s), mesh.h, mesh.n_points), gaussian_profile(xs))
+    err = float(np.max(np.abs(disc[sl] - gaussian_frac_laplacian(s)(xs[sl]))))
+    return ErrorRecord(problem="gaussian", s=float(s), alpha=0.0, h=float(h), dt=0.0, error=err)
+
+
 def run_consistency_study(s_values, h_values, window=(-2.0, 2.0), domain=(-20.0, 20.0)):
     """Sweep the operator-consistency error of the Gaussian profile over (s, h)
     against its closed-form fractional Laplacian (gaussian_frac_laplacian).
@@ -272,16 +286,8 @@ def run_consistency_study(s_values, h_values, window=(-2.0, 2.0), domain=(-20.0,
     raise ValueError before any cell runs.
     """
     _check_sweep(s_values, h_values, domain, window)
-    U = gaussian_profile()
-
-    def measure(s, h):
-        err = consistency_error(U, float(s), _snapped_mesh(h, *domain), window,
-                                gaussian_frac_laplacian(s))
-        return ErrorRecord(problem="gaussian", s=float(s), alpha=0.0, h=float(h), dt=0.0,
-                           error=err)
-
     cells = [(s, h) for s in sorted(s_values) for h in sorted(h_values, reverse=True)]
-    result = _sweep(cells, measure)
+    result = _sweep(cells, partial(_consistency_cell, domain, window))
     result.rates = fit_rates(result.records)
     return result
 

@@ -259,16 +259,26 @@ class TestMildReference:
 
     def test_rejects_negative_time(self):
         # t^alpha of a negative t is complex; a NaN t reached GridFunction.
+        # An infinite t warned twice and then failed as a non-finite grid
+        # function at alpha = 1, and met the Wright limit at alpha = 0.5.
         # t = 0 itself gives u0, in an array of its own
         for alpha in (0.5, 1.0):
             prob = to_evolution_problem(example2(0.7), Mesh(h=0.1, a=-0.9, b=0.9),
                                         alpha=alpha, t_horizon=0.2)
-            for t in (-0.1, math.nan):
+            for t in (-0.1, math.nan, math.inf):
                 with pytest.raises(ValueError, match="t must be non-negative"):
                     evaluate_mild(prob, t)
             u = evaluate_mild(prob, 0.0).values
             assert u.tobytes() == prob.u0.values.tobytes()
             assert not np.shares_memory(u, prob.u0.values)
+
+    @pytest.mark.parametrize("t_horizon", [math.inf, math.nan])
+    def test_problem_refuses_a_non_finite_horizon(self, t_horizon):
+        # t_horizon = inf was accepted, and a mild_reference solve of it
+        # failed in the Wright quadrature
+        with pytest.raises(ValueError, match="t_horizon must be positive and finite"):
+            to_evolution_problem(example2(0.5), Mesh(h=0.2, a=-0.8, b=0.8),
+                                 alpha=0.5, t_horizon=t_horizon)
 
     def test_refuses_modes_past_the_wright_limit(self):
         # s = 0.9, h = 0.0125: t^alpha max(lambda) is about 4,200 at t = 0.2,

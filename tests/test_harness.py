@@ -219,7 +219,7 @@ class TestConsistencyStudy:
     ])
     def test_rejects_settings_before_any_cell(self, settings, message, monkeypatch):
         cells = []
-        monkeypatch.setattr(study, "consistency_error", lambda *args, **kw: cells.append(args))
+        monkeypatch.setattr(study, "_consistency_cell", lambda *args, **kw: cells.append(args))
         with pytest.raises(ValueError, match=message):
             run_consistency_study(**{"domain": (-10.0, 10.0), **settings})
         assert cells == []

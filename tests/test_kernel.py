@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
+from fracheat import study
 from fracheat.grid import Mesh
 from fracheat.kernel import (
     SymmetricKernel,
-    consistency_error,
     frac_laplacian_constant,
     kernel_weights,
     toeplitz_matvec,
@@ -174,17 +174,14 @@ class TestContinuousOracle:
 
 
 class TestConsistency:
+    # one cell of the consistency study: the lattice operator of the sampled
+    # Gaussian against its closed form, on the window nodes
     def test_gaussian_rate_one_s(self):
         # the guaranteed order is at least 2 - 2s; on smooth profiles the
         # observed order is in fact ~2, so assert the one-sided bound
         s = 0.4
-        U = gaussian_profile()
-        errs = []
         hs = (0.4, 0.2, 0.1)
-        for h in hs:
-            mesh = Mesh(h=h, a=-20.0, b=20.0)
-            errs.append(consistency_error(U, s, mesh, window=(-2.0, 2.0),
-                                          exact_op=gaussian_frac_laplacian(s)))
+        errs = [study._consistency_cell((-20.0, 20.0), (-2.0, 2.0), s, h).error for h in hs]
         assert errs[0] > errs[1] > errs[2]
         order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert order >= 2.0 - 2.0 * s - 0.25
@@ -195,44 +192,39 @@ class TestConsistency:
         s = 0.6
         mesh = Mesh(h=0.2, a=-10.0, b=10.0)
         sl = mesh.window_slice(-2.0, 2.0)
-        points = mesh.nodes[sl]
-        exact_op = gaussian_frac_laplacian(s)
         direct = toeplitz_direct(kernel_weights(s, mesh.h, mesh.n_points),
-                                 gaussian_profile()(mesh.nodes))
-        ref = np.max(np.abs(direct[sl] - exact_op(points)))
-        got = consistency_error(gaussian_profile(), s, mesh, window=(-2.0, 2.0),
-                                exact_op=exact_op)
-        assert abs(got - ref) < 1e-12 * max(1.0, np.max(np.abs(direct)))
+                                 gaussian_profile(mesh.nodes))
+        ref = np.max(np.abs(direct[sl] - gaussian_frac_laplacian(s)(mesh.nodes[sl])))
+        rec = study._consistency_cell((-10.0, 10.0), (-2.0, 2.0), s, 0.2)
+        assert (rec.problem, rec.s, rec.h, rec.alpha, rec.dt) == ("gaussian", s, 0.2, 0.0, 0.0)
+        assert abs(rec.error - ref) < 1e-12 * max(1.0, np.max(np.abs(direct)))
 
-    def test_samples_once_per_mesh(self):
+    def test_samples_once_per_mesh(self, monkeypatch):
         calls = {"U": 0, "exact_op": 0}
-        U, op = gaussian_profile(), gaussian_frac_laplacian(0.5)
 
         def counted_U(x):
             calls["U"] += 1
-            return U(x)
+            return gaussian_profile(x)
 
-        def counted_op(x):
-            calls["exact_op"] += 1
-            return op(x)
+        def counted_closed_form(s):
+            op = gaussian_frac_laplacian(s)
 
-        mesh = Mesh(h=0.25, a=-5.0, b=5.0)
-        consistency_error(counted_U, 0.5, mesh, window=(-2.5, 2.5), exact_op=counted_op)
+            def counted_op(x):
+                calls["exact_op"] += 1
+                return op(x)
+
+            return counted_op
+
+        monkeypatch.setattr(study, "gaussian_profile", counted_U)
+        monkeypatch.setattr(study, "gaussian_frac_laplacian", counted_closed_form)
+        study._consistency_cell((-5.0, 5.0), (-2.5, 2.5), 0.5, 0.25)
         assert calls == {"U": 1, "exact_op": 1}
 
-    def test_rejects_nonfinite_profile(self):
-        mesh = Mesh(h=0.5, a=-5.0, b=5.0)
-        U = lambda x: np.where(x > 1.0, np.nan, np.exp(-x * x))
-        with pytest.raises(ValueError, match="finite"):
-            consistency_error(U, 0.5, mesh, window=(-1.0, 1.0),
-                              exact_op=gaussian_frac_laplacian(0.5))
-
-    def test_window_without_nodes_refused_before_sampling(self):
+    def test_window_without_nodes_refused_before_sampling(self, monkeypatch):
         def U(x):
             raise AssertionError("profile sampled before the window was checked")
 
-        mesh = Mesh(h=0.5, a=-5.0, b=5.0)
+        monkeypatch.setattr(study, "gaussian_profile", U)
         for window in ((0.1, 0.4), (5.5, 6.0), (-6.0, -5.5)):
             with pytest.raises(ValueError, match="contains no mesh nodes"):
-                consistency_error(U, 0.5, mesh, window=window,
-                                  exact_op=gaussian_frac_laplacian(0.5))
+                study._consistency_cell((-5.0, 5.0), window, 0.5, 0.5)

@@ -228,9 +228,8 @@ class TestSemilinearVariant:
 
 class TestGaussianProfile:
     def test_values(self):
-        U = gaussian_profile()
-        assert U(0.0) == 1.0
-        assert np.allclose(U(np.array([1.0, -1.0])), math.exp(-1.0))
+        assert gaussian_profile(0.0) == 1.0
+        assert np.allclose(gaussian_profile(np.array([1.0, -1.0])), math.exp(-1.0))
 
     @pytest.mark.parametrize("s", [0.05, 0.3, 0.6, 0.95])
     def test_closed_form_against_mpmath(self, s):
@@ -248,7 +247,7 @@ class TestGaussianProfile:
         # mesh (h = 0.8 on [-20, 20]) inside the window (-2, 2)
         op = gaussian_frac_laplacian(s)
         for x in (-1.6, -0.8, 0.0, 0.8, 1.6):
-            oracle = continuous_op_oracle(gaussian_profile(), s, x, tol=1e-9)
+            oracle = continuous_op_oracle(gaussian_profile, s, x, tol=1e-9)
             assert abs(op(x) - oracle) <= 1e-9, x
 
     def test_closed_form_rejects_out_of_range(self):

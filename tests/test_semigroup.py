@@ -31,6 +31,11 @@ class TestFracSemigroupKernel:
         k = frac_semigroup_kernel(0.6, 0.5, 0.0, 10)
         assert k.w[0] == 1.0 and np.all(k.w[1:] == 0.0)
 
+    def test_refuses_an_infinite_time(self):
+        # it asked for ~inf quadrature nodes
+        with pytest.raises(ValueError, match="t must be non-negative and finite"):
+            frac_semigroup_kernel(0.5, 0.1, math.inf, 4)
+
     def test_positivity_and_submarkov_mass(self):
         k = frac_semigroup_kernel(0.6, 0.2, 0.7, 400)
         assert np.min(k.w) > -1e-14
@@ -186,6 +191,28 @@ class TestSubordination:
         with pytest.raises(ValueError, match="t must be non-negative"):
             subordinate_scalar_S(0.5, 1.0, t)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.99])
+    def test_exact_at_t_zero(self, alpha):
+        # every exponential is 1 at t = 0, so each sum is the Wright moment
+        # exactly: the quadrature left S(0.3) at 0.9999999999999998, and at
+        # alpha = 0.99, past the quadrature's range, every call below raised
+        moment = 1.0 / math.gamma(1.0 + alpha)
+        lam = np.array([0.0, 1.0, 50.0])
+        assert subordinate_scalar_S(alpha, 1.0, 0.0) == 1.0
+        assert np.all(semigroup._mode_sum(alpha, 0.0, lam) == 1.0)
+        assert np.all(semigroup._mode_sum(alpha, 0.0, lam, weighted_by_tau=True) == moment)
+        for weighted, w0 in ((False, 1.0), (True, moment)):
+            k = subordinated_kernel(0.5, 0.1, alpha, 0.0, 3, weighted_by_tau=weighted)
+            assert k.w.tolist() == [w0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("reduction", [subordinate_scalar_S, subordinate_scalar_P])
+    def test_scalar_reductions_refuse_an_infinite_time(self, reduction, alpha):
+        # t = inf returned exp(-inf) = 0 at alpha = 1 and met the Wright
+        # limit below it
+        with pytest.raises(ValueError, match="t must be non-negative and finite"):
+            reduction(alpha, 1.0, math.inf)
+
     def test_scalar_P_rejects_zero_time(self):
         # its factor t^(alpha - 1) is unbounded at t = 0
         with pytest.raises(ValueError, match="the forcing propagator requires t > 0"):
@@ -228,11 +255,15 @@ class TestSubordination:
         (0.5, 0.5, 0.0, 0.1, r"alpha must lie in \(0, 1\]"),
         (0.5, 0.5, 1.5, 0.1, r"alpha must lie in \(0, 1\]"),
         (0.5, 0.5, 0.5, math.nan, "t must be non-negative"),
+        (0.5, 0.5, 0.5, math.inf, "t must be non-negative and finite"),
+        (0.5, 0.5, 1.0, math.inf, "t must be non-negative and finite"),
     ])
     @pytest.mark.parametrize("weighted_by_tau", [False, True])
     def test_kernel_rejects_bad_args(self, s, h, alpha, t, match, weighted_by_tau):
         # as frac_semigroup_kernel does: h = 0 divided by zero, s = 1.5 met
-        # the Wright limit at z = 3578 and h = NaN did not settle
+        # the Wright limit at z = 3578, h = NaN did not settle, and t = inf
+        # met the Wright limit below alpha = 1 and asked for ~inf quadrature
+        # nodes at alpha = 1
         with pytest.raises(ValueError, match=match):
             subordinated_kernel(s, h, alpha, t, 8, weighted_by_tau=weighted_by_tau)
 
