@@ -13,14 +13,15 @@ Every flag can also come from a `key = value` config file given with
 --config.  Each line becomes the flag `--key=value` (so `s = 0.4,0.8`,
 `T = 0.5`, `paper-scale = true`), parsed by the subcommand's own parser
 ahead of the command line: explicit flags override the file, and a key
-the subcommand has no flag for is rejected.  The CSV report goes to --out
-(default stdout) unless no cell succeeded; aborted cells and fitted rates
-go to stderr.  Exit code is 0 on success, 1 if any study cell aborted and
-2 on a usage error, which includes settings the study refuses (an empty
-or repeated s or h list, an h <= 0, a non-finite h, domain or window, a
-window outside the domain, dt <= 0, a non-finite dt or T, a T / dt that
-is not finite or is less than one step, an alpha outside (0, 1] or one
-the stepper cannot take).
+the subcommand has no flag for is rejected.  The h list may come in any
+order.  The CSV report goes to --out (default stdout) unless no cell
+succeeded; aborted cells and fitted rates go to stderr.  Exit code is 0
+on success, 1 if any study cell aborted and 2 on a usage error, which
+includes an unreadable or malformed config file and settings the study
+refuses (an empty or repeated s or h list, an s outside (0, 1), an
+h <= 0, a non-finite h, domain or window, a window outside the domain,
+dt <= 0, a non-finite dt or T, a T / dt that is not finite or is less
+than one step, an alpha outside (0, 1] or one the stepper cannot take).
 """
 
 from __future__ import annotations
@@ -69,24 +70,27 @@ def _config_flags(path):
 
 
 def _build_parser():
+    shared = argparse.ArgumentParser(add_help=False)  # the flags both sweeps take
+    shared.add_argument("--config", help="key = value config file (flags override it)")
+    shared.add_argument("--s", type=_parse_floats, dest="s_values", metavar="LIST")
+    shared.add_argument("--h", type=_parse_floats, dest="h_values", metavar="LIST")
+    shared.add_argument("--domain", type=_parse_pair, metavar="A,B")
+    shared.add_argument("--window", type=_parse_pair, metavar="C,D")
+    shared.add_argument("--out", help="CSV output path (default: stdout)")
+
     parser = argparse.ArgumentParser(
         prog="fracheat",
         description="Convergence studies for the discrete fractional heat equation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    st = sub.add_parser("study", help="h-sweep convergence study of a manufactured example")
-    st.add_argument("--config", help="key = value config file (flags override it)")
+    st = sub.add_parser("study", parents=[shared],
+                        help="h-sweep convergence study of a manufactured example")
     st.add_argument("--problem", choices=tuple(_PROBLEMS))
-    st.add_argument("--s", type=_parse_floats, dest="s_values", metavar="LIST")
     st.add_argument("--alpha", type=float)
-    st.add_argument("--h", type=_parse_floats, dest="h_values", metavar="LIST")
     st.add_argument("--dt", type=float)
-    st.add_argument("--domain", type=_parse_pair, metavar="A,B")
-    st.add_argument("--window", type=_parse_pair, metavar="C,D")
     st.add_argument("--T", type=float, dest="t_horizon")
     st.add_argument("--stepper", choices=_STEPPERS)
-    st.add_argument("--out", help="CSV output path (default: stdout)")
     st.add_argument("--paper-scale", nargs="?", const=True, default=False, type=_parse_bool,
                     metavar="BOOL", help="use the full-size domain and window")
     st.add_argument("--workers", type=int)
@@ -94,14 +98,8 @@ def _build_parser():
                     metavar="BOOL",
                     help="record real wall times in the CSV (breaks byte-determinism)")
 
-    co = sub.add_parser("consistency",
-                        help="operator-consistency sweep against the Gaussian's closed form")
-    co.add_argument("--config", help="key = value config file (flags override it)")
-    co.add_argument("--s", type=_parse_floats, dest="s_values", metavar="LIST")
-    co.add_argument("--h", type=_parse_floats, dest="h_values", metavar="LIST")
-    co.add_argument("--domain", type=_parse_pair, metavar="A,B")
-    co.add_argument("--window", type=_parse_pair, metavar="C,D")
-    co.add_argument("--out", help="CSV output path (default: stdout)")
+    sub.add_parser("consistency", parents=[shared],
+                   help="operator-consistency sweep against the Gaussian's closed form")
     return parser
 
 
@@ -125,8 +123,12 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
+        try:
+            flags = _config_flags(args.config)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--config: {exc}")
         # argv[0] is the subcommand; the file's flags go first so argv's win
-        args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+        args = parser.parse_args(argv[:1] + flags + argv[1:])
     opts = {key: val for key, val in vars(args).items()
             if val is not None and key not in ("command", "config")}
     out, timings = opts.pop("out", None), opts.pop("timings", False)
@@ -142,8 +144,7 @@ def main(argv=None):
         return _report(run_study(cfg), out, timings)
 
     if "s_values" not in opts or "h_values" not in opts:
-        print("consistency requires --s and --h", file=sys.stderr)
-        return 2
+        parser.error("consistency: --s and --h are required")
     try:
         result = run_consistency_study(**opts)
     except ValueError as exc:

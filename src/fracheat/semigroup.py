@@ -286,12 +286,14 @@ def _mode_sum(alpha, t, lam, weighted_by_tau=False):
     array lam (or at one rate): exp(-t lam) at alpha = 1, and below 1
     E_alpha(-t^alpha lam), or E_{alpha,alpha}(-t^alpha lam) / alpha with
     tau weighting, up to the rule's error.  Raises ValueError unless every
-    rate is >= 0, and _wright_rule's errors.
+    rate is >= 0 and finite (at t = 0 an infinite rate would make
+    lam t^alpha = inf * 0), and _wright_rule's errors.
     """
     lam = np.asarray(lam, dtype=float)
-    if not lam.min() >= 0.0:
-        raise ValueError(f"rates lambda must be non-negative, got min(lambda) = {lam.min()}")
-    nodes, factors = _wright_rule(alpha, t, float(lam.max()), weighted_by_tau)
+    lo, hi = float(lam.min()), float(lam.max())
+    if not (lo >= 0.0 and hi < math.inf):
+        raise ValueError(f"rates lambda must be non-negative and finite, got [{lo}, {hi}]")
+    nodes, factors = _wright_rule(alpha, t, hi, weighted_by_tau)
     e = np.multiply.outer(nodes * t ** alpha, -lam)
     return factors @ np.exp(e, out=e)
 
@@ -325,8 +327,8 @@ def subordinate_scalar_S(alpha, lam, t):
     applied to exp(-lam tau t^alpha).  Equals E_{alpha,1}(-lam t^alpha)
     up to quadrature error (classical subordination identity), and
     exp(-lam t) exactly at alpha = 1; exactly 1 at t = 0.  Raises
-    ValueError unless t is finite and >= 0 and lam >= 0, and
-    SeriesConvergenceError once z = lam t^alpha exceeds _WRIGHT_Z_MAX.
+    ValueError unless t is finite and >= 0 and lam is finite and >= 0,
+    and SeriesConvergenceError once z = lam t^alpha exceeds _WRIGHT_Z_MAX.
     """
     return float(_mode_sum(alpha, t, lam))
 
@@ -337,8 +339,9 @@ def subordinate_scalar_P(alpha, lam, t):
     Equals t^{alpha-1} E_{alpha,alpha}(-lam t^alpha): the identity
     alpha * integral tau Phi_alpha(tau) e^{-z tau} dtau = E_{alpha,alpha}(-z)
     follows from the Wright moments term by term; exp(-lam t) exactly at
-    alpha = 1.  Raises ValueError unless t > 0 and lam >= 0, and
-    SeriesConvergenceError once z = lam t^alpha exceeds _WRIGHT_Z_MAX.
+    alpha = 1.  Raises ValueError unless t > 0 and lam is finite and
+    >= 0, and SeriesConvergenceError once z = lam t^alpha exceeds
+    _WRIGHT_Z_MAX.
     """
     if not t > 0.0:
         raise ValueError("the forcing propagator requires t > 0")

@@ -58,13 +58,15 @@ _PROBLEMS = {"example1": example1, "example2": example2}
 
 def _check_sweep(s_values, h_values, domain, window):
     """Refuse a sweep that would measure nothing, whose report would repeat
-    a cell, that has a mesh size h <= 0, a non-finite h, domain or window, or
-    whose window reaches beyond the domain (and so would be measured only
-    in part)."""
+    a cell, that has an s outside (0, 1), a mesh size h <= 0, a non-finite
+    h, domain or window, or whose window reaches beyond the domain (and so
+    would be measured only in part)."""
     if not s_values or not h_values:
         raise ValueError("s_values and h_values must not be empty")
     if len(set(s_values)) != len(s_values):
         raise ValueError("s_values must not repeat")
+    if not all(0.0 < s < 1.0 for s in s_values):
+        raise ValueError(f"s_values must lie in (0, 1), got {s_values}")
     if len(set(h_values)) != len(h_values):
         raise ValueError("h_values must not repeat")
     if not all(0.0 < h < math.inf for h in h_values):
@@ -80,8 +82,9 @@ class StudyConfig:
     """Full description of one h-sweep study.
 
     Every setting that does not depend on the cell is checked here, so a
-    refused sweep raises ValueError before any cell runs; s is checked by
-    each cell's problem.
+    refused sweep raises ValueError before any cell runs; only a problem's
+    own refusal of an s in (0, 1), such as example 1's s = 1/2, is left to
+    its cell.  h_values may come in any order: cells run coarsest h first.
     """
 
     problem: str = "example1"
@@ -96,8 +99,6 @@ class StudyConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not all(x > y for x, y in zip(self.h_values, self.h_values[1:])):
-            raise ValueError("h_values must be strictly decreasing")
         _check_sweep(self.s_values, self.h_values, self.domain, self.window)
         if not 0.0 < self.t_horizon < math.inf:
             raise ValueError(f"t_horizon must be positive and finite, got {self.t_horizon}")
@@ -214,7 +215,7 @@ def run_study(cfg):
     (s, h) on cfg.workers threads, and fit rates per s above the dt floor.
     mild_reference cells run with no time step; their records carry dt = 0.
     """
-    cells = [(s, h) for s in sorted(cfg.s_values) for h in cfg.h_values]
+    cells = [(s, h) for s in sorted(cfg.s_values) for h in sorted(cfg.h_values, reverse=True)]
     result = _sweep(cells, partial(_run_cell, cfg), cfg.workers)
     result.rates = fit_rates(result.records, dt_floor=_dt_floor_probe(cfg, result.records))
     return result
@@ -280,10 +281,11 @@ def run_consistency_study(s_values, h_values, window=(-2.0, 2.0), domain=(-20.0,
     """Sweep the operator-consistency error of the Gaussian profile over (s, h)
     against its closed-form fractional Laplacian (gaussian_frac_laplacian).
 
-    Each mesh is measured over its own nodes in the window, as run_study
-    measures its cells.  Empty or repeated s or h values, an h <= 0, a
-    non-finite h, domain or window and a window reaching beyond the domain
-    raise ValueError before any cell runs.
+    Each mesh is measured over its own nodes in the window, and h_values
+    may come in any order, as in run_study.  Empty or repeated s or h
+    values, an s outside (0, 1), an h <= 0, a non-finite h, domain or
+    window and a window reaching beyond the domain raise ValueError before
+    any cell runs.
     """
     _check_sweep(s_values, h_values, domain, window)
     cells = [(s, h) for s in sorted(s_values) for h in sorted(h_values, reverse=True)]

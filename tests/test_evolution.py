@@ -177,6 +177,25 @@ class TestBackwardEuler:
         assert res <= evolution._NEWTON_TOL * np.max(rhs)
         assert newton_iters <= 10
 
+    @staticmethod
+    def _cubic_stage():
+        # the stage of the test above: it converges in 7 Newton iterations
+        n = 21
+        cubic = Nonlinearity(f=lambda u: -u ** 3, df=lambda u: -3.0 * u * u)
+        return kernel_weights(0.5, 0.5, n), 1.0, np.full(n, 1e3), cubic, np.zeros(n), None, 0.1
+
+    def test_newton_returns_a_stage_converged_on_its_last_iteration(self, monkeypatch):
+        monkeypatch.setattr(evolution, "_NEWTON_MAX_ITER", 7)
+        _, newton_iters, _, res, _ = evolution._implicit_stage(*self._cubic_stage())
+        assert newton_iters == 7
+        assert res <= evolution._NEWTON_TOL * 1e3
+
+    def test_newton_refuses_a_stage_it_does_not_converge(self, monkeypatch):
+        monkeypatch.setattr(evolution, "_NEWTON_MAX_ITER", 6)
+        with pytest.raises(RuntimeError,
+                           match=r"step to t=0\.1: Newton did not converge in 6 iterations"):
+            evolution._implicit_stage(*self._cubic_stage())
+
     def test_alpha_mismatch_rejected(self):
         mesh = Mesh(h=0.5, a=-5.0, b=5.0)
         prob = EvolutionProblem(s=0.5, alpha=0.7, mesh=mesh, u0=_gaussian(mesh))
@@ -369,6 +388,28 @@ class TestTrajectory:
             step, t, ni, ci, res = line.split(",")
             assert int(step) >= 1 and float(t) > 0.0
             assert int(ni) >= 0 and int(ci) >= 0 and float(res) >= 0.0
+
+
+class TestEvolutionProblem:
+    @pytest.mark.parametrize("settings, message", [
+        ({"s": 0.0}, r"s must lie in \(0, 1\)"),
+        ({"s": 1.0}, r"s must lie in \(0, 1\)"),
+        ({"alpha": 0.0}, r"alpha must lie in \(0, 1\]"),
+        ({"alpha": 1.5}, r"alpha must lie in \(0, 1\]"),
+        ({"mesh": Mesh(h=0.5, a=-4.0, b=4.0)}, "initial datum lives on a different mesh"),
+    ])
+    def test_refuses_bad_settings(self, settings, message):
+        mesh = Mesh(h=0.5, a=-5.0, b=5.0)
+        base = {"s": 0.5, "alpha": 1.0, "mesh": mesh, "u0": _gaussian(mesh)}
+        with pytest.raises(ValueError, match=message):
+            EvolutionProblem(**{**base, **settings})
+
+    def test_forcing_of_the_wrong_shape_is_refused(self):
+        mesh = Mesh(h=0.5, a=-5.0, b=5.0)
+        prob = EvolutionProblem(s=0.5, alpha=1.0, mesh=mesh, u0=_gaussian(mesh),
+                                forcing=lambda t: np.zeros(mesh.n_points + 1))
+        with pytest.raises(ValueError, match="forcing returned the wrong shape"):
+            prob.forcing_values(0.1)
 
 
 class TestNonlinearity:

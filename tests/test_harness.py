@@ -46,9 +46,19 @@ class TestStudyConfig:
         assert cfg.problem == "example1"
         assert cfg.h_values[0] > cfg.h_values[-1]
 
-    def test_rejects_nondecreasing_h(self):
-        with pytest.raises(ValueError):
-            StudyConfig(h_values=(0.1, 0.2))
+    def test_unsorted_h_gives_the_sorted_report(self):
+        # cells run coarsest h first whatever the order of h_values
+        reports = []
+        for h_values in ((0.1, 0.2, 0.05), (0.2, 0.1, 0.05)):
+            res = run_study(StudyConfig(
+                problem="example2", s_values=(0.5,), h_values=h_values,
+                dt=1e-3, t_horizon=0.1, domain=(-1.0, 1.0), window=(-0.5, 0.5),
+            ))
+            buf = io.StringIO()
+            emit_csv(res, buf)
+            reports.append((buf.getvalue(), res.failures, res.rates))
+        assert len(reports[0][0].splitlines()) == 4 and reports[0][2]
+        assert reports[0] == reports[1]
 
     def test_rejects_window_outside_domain(self):
         with pytest.raises(ValueError):
@@ -87,6 +97,8 @@ class TestStudyConfig:
         ({"h_values": (math.inf, 0.2)}, "h_values must be positive and finite"),
         ({"domain": (-math.inf, math.inf)}, "domain and window must be finite"),
         ({"window": (-math.inf, 1.0)}, "domain and window must be finite"),
+        ({"s_values": (0.4, 1.5)}, r"s_values must lie in \(0, 1\)"),
+        ({"s_values": (math.nan,)}, r"s_values must lie in \(0, 1\)"),
     ])
     def test_rejects_scheme_settings_before_any_cell(self, settings, message):
         # each would fail in every cell; the sweep refuses it up front
@@ -216,6 +228,9 @@ class TestConsistencyStudy:
         (dict(s_values=(0.5,), h_values=(0.4, 0.0)), "h_values must be positive"),
         (dict(s_values=(0.5,), h_values=(0.4, 0.2), domain=(-math.inf, math.inf)),
          "domain and window must be finite"),
+        (dict(s_values=(0.5, 1.5), h_values=(0.4, 0.2)), r"s_values must lie in \(0, 1\)"),
+        (dict(s_values=(0.0,), h_values=(0.4, 0.2)), r"s_values must lie in \(0, 1\)"),
+        (dict(s_values=(math.nan,), h_values=(0.4, 0.2)), r"s_values must lie in \(0, 1\)"),
     ])
     def test_rejects_settings_before_any_cell(self, settings, message, monkeypatch):
         cells = []
@@ -328,14 +343,22 @@ class TestRunStudy:
 
 class TestCli:
     def test_consistency_missing_args_exit_2(self, capsys):
-        assert cli_main(["consistency"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["consistency"])
+        assert exc.value.code == 2
+        assert "error: consistency: --s and --h are required" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
-        ["--window=-900,5"], ["--h", "0.1,0.2"],
+        ["--window=-900,5"],
         ["--problem", "example2", "--s", "0.5,0.5", "--h", "0.2,0.1", "--dt", "0.01",
          "--T", "0.02", "--domain=-1,1", "--window=-0.5,0.5"],
         ["--problem", "example2", "--s", ",", "--h", "0.2,0.1", "--dt", "0.01",
          "--T", "0.02", "--domain=-1,1", "--window=-0.5,0.5"],
+        ["--problem", "example2", "--s", "1.5", "--h", "0.2,0.1", "--dt", "0.01",
+         "--T", "0.02", "--domain=-1,1", "--window=-0.5,0.5"],
+        ["--problem", "example2", "--s", "nan", "--h", "0.2,0.1", "--dt", "0.01",
+         "--T", "0.02", "--domain=-1,1", "--window=-0.5,0.5"],
+        ["--domain=1,2,3"], ["--paper-scale=maybe"],
     ])
     def test_invalid_study_settings_exit_2(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -350,6 +373,8 @@ class TestCli:
         ["--s", "0.5", "--h", "0.4,0.2", "--window=-30,30", "--domain=-10,10"],
         ["--s", ",", "--h", "0.4,0.2"],
         ["--s", "0.5", "--h", ","],
+        ["--s", "1.5", "--h", "0.4,0.2", "--window=-1,1", "--domain=-10,10"],
+        ["--s", "0", "--h", "0.4,0.2", "--window=-1,1", "--domain=-10,10"],
     ])
     def test_invalid_consistency_settings_exit_2(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -445,6 +470,23 @@ class TestCli:
         assert rc == 0
         rows = _read_report(capsys.readouterr().out)
         assert len(rows) == 2 and all(r["wall_ms"] > 0.0 for r in rows)
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file or directory"),
+        ("s = 0.5\nnot a pair\n", "run.cfg:2: expected key = value, got 'not a pair'"),
+    ], ids=["missing", "malformed"])
+    def test_unreadable_or_malformed_config_exits_2(self, text, message, tmp_path, capsys):
+        # both ended in a traceback with exit 1, the code of an aborted cell
+        cfgfile, out_path = tmp_path / "run.cfg", tmp_path / "cons.csv"
+        if text is not None:
+            cfgfile.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["consistency", "--config", str(cfgfile), "--h", "0.4,0.2",
+                      "--out", str(out_path)])
+        assert exc.value.code == 2
+        assert not out_path.exists()
+        err = capsys.readouterr().err
+        assert "error: --config:" in err and message in err
 
     def test_config_key_the_subcommand_lacks_is_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

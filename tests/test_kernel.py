@@ -77,6 +77,8 @@ class TestWeights:
             kernel_weights(1.0, 1.0, 10)
         with pytest.raises(ValueError):
             kernel_weights(0.5, -1.0, 10)
+        with pytest.raises(ValueError, match="half_width must be >= 1"):
+            kernel_weights(0.5, 1.0, 0)
 
 
 class TestToeplitzApply:
@@ -171,6 +173,11 @@ class TestContinuousOracle:
         assert frac_laplacian_constant(0.5) == pytest.approx(
             0.5 * 2.0 * math.gamma(1.0) / (math.sqrt(math.pi) * math.gamma(0.5)), rel=1e-12
         )
+
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_normalization_constant_refuses_s_outside_the_open_interval(self, s):
+        with pytest.raises(ValueError, match=r"s must lie in \(0, 1\)"):
+            frac_laplacian_constant(s)
 
 
 class TestConsistency:

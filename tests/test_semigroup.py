@@ -36,6 +36,13 @@ class TestFracSemigroupKernel:
         with pytest.raises(ValueError, match="t must be non-negative and finite"):
             frac_semigroup_kernel(0.5, 0.1, math.inf, 4)
 
+    def test_refuses_up_front_a_small_s_it_cannot_resolve(self):
+        # at s = 0.1 the aliasing error decays like m^{-1.4}: the node
+        # count is refused a priori, before any sample is taken
+        with pytest.raises(SeriesConvergenceError,
+                           match=r"needs ~7\.4e\+08 quadrature nodes for tol=1e-12 at s=0\.1"):
+            frac_semigroup_kernel(0.1, 0.1, 1.0, 8)
+
     def test_positivity_and_submarkov_mass(self):
         k = frac_semigroup_kernel(0.6, 0.2, 0.7, 400)
         assert np.min(k.w) > -1e-14
@@ -239,12 +246,20 @@ class TestSubordination:
             reduction(0.5, 1000.0, 1.0)
 
     @pytest.mark.parametrize("reduction", [subordinate_scalar_S, subordinate_scalar_P])
-    @pytest.mark.parametrize("lam", [-200.0, -1.0, math.nan])
+    @pytest.mark.parametrize("lam", [-200.0, -1.0, math.nan, math.inf])
     def test_scalar_reductions_refuse_a_negative_or_nan_rate(self, reduction, lam):
         # z = lam t^alpha < 0 or NaN passed the Wright limit: lam = -200
-        # overflowed to inf, lam = -1 returned 5.009 and NaN returned nan
+        # overflowed to inf, lam = -1 returned 5.009 and NaN returned nan;
+        # lam = inf met the Wright limit
         with pytest.raises(ValueError, match="lambda must be non-negative"):
             reduction(0.5, lam, 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_scalar_S_refuses_an_infinite_rate_at_t_zero(self, alpha):
+        # lam t^alpha = inf * 0 has no value; S returned nan with a
+        # RuntimeWarning from 0 * (-inf)
+        with pytest.raises(ValueError, match="rates lambda must be non-negative and finite"):
+            subordinate_scalar_S(alpha, math.inf, 0.0)
 
     @pytest.mark.parametrize("s, h, alpha, t, match", [
         (1.5, 0.5, 0.5, 0.1, r"s must lie in \(0, 1\]"),
