@@ -13,15 +13,15 @@ Every flag can also come from a `key = value` config file given with
 --config.  Each line becomes the flag `--key=value` (so `s = 0.4,0.8`,
 `T = 0.5`, `paper-scale = true`), parsed by the subcommand's own parser
 ahead of the command line: explicit flags override the file, and a key
-the subcommand has no flag for is rejected.  The h list may come in any
-order.  The CSV report goes to --out (default stdout) unless no cell
-succeeded; aborted cells and fitted rates go to stderr.  Exit code is 0
-on success, 1 if any study cell aborted and 2 on a usage error, which
-includes an unreadable or malformed config file and settings the study
-refuses (an empty or repeated s or h list, an s outside (0, 1), an
-h <= 0, a non-finite h, domain or window, a window outside the domain,
-dt <= 0, a non-finite dt or T, a T / dt that is not finite or is less
-than one step, an alpha outside (0, 1] or one the stepper cannot take).
+the subcommand has no flag for is rejected.  A config file cannot name
+another one.  The h list may come in any order.  The CSV report goes to
+--out (default stdout) unless no cell succeeded; aborted cells and fitted
+rates go to stderr.  Exit code is 0 on success, 1 if any study cell
+aborted and 2 on a usage error, which writes no file.  Usage errors are
+checked before any cell runs: an unreadable or malformed config file, an
+--out that is a directory or whose directory does not exist, and any
+setting that StudyConfig or run_consistency_study refuses, reported with
+the library's ValueError message.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
+from pathlib import Path
 
 from .evolution import _STEPPERS
 from .study import _PROBLEMS, PAPER_SCALE, StudyConfig, emit_csv, run_consistency_study, run_study
@@ -55,7 +56,8 @@ def _parse_bool(text):
 
 def _config_flags(path):
     """Turn `key = value` lines into `--key=value` flags; '#' starts a
-    comment, blank lines are skipped."""
+    comment, blank lines are skipped.  A `config` key, or any abbreviation
+    argparse would take for it, is refused: a file cannot name another."""
     out = []
     with open(path) as fh:
         for ln, raw in enumerate(fh, start=1):
@@ -65,6 +67,9 @@ def _config_flags(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{ln}: expected key = value, got {raw.rstrip()!r}")
             key, val = (part.strip() for part in line.split("=", 1))
+            if key and "config".startswith(key):
+                raise ValueError(f"{path}:{ln}: a config file cannot name another one, "
+                                 f"got {raw.rstrip()!r}")
             out.append(f"--{key}={val}")
     return out
 
@@ -132,6 +137,10 @@ def main(argv=None):
     opts = {key: val for key, val in vars(args).items()
             if val is not None and key not in ("command", "config")}
     out, timings = opts.pop("out", None), opts.pop("timings", False)
+    if out is not None and Path(out).is_dir():
+        parser.error(f"--out: {out} is a directory")
+    if out is not None and not Path(out).parent.is_dir():
+        parser.error(f"--out: {Path(out).parent} is not a directory")
 
     if args.command == "study":
         if opts.pop("paper_scale"):

@@ -360,10 +360,12 @@ class TestCli:
          "--T", "0.02", "--domain=-1,1", "--window=-0.5,0.5"],
         ["--domain=1,2,3"], ["--paper-scale=maybe"],
     ])
-    def test_invalid_study_settings_exit_2(self, flags, capsys):
+    def test_invalid_study_settings_exit_2(self, flags, tmp_path, capsys):
+        out_path = tmp_path / "study.csv"
         with pytest.raises(SystemExit) as exc:
-            cli_main(["study", *flags])
+            cli_main(["study", *flags, "--out", str(out_path)])
         assert exc.value.code == 2
+        assert not out_path.exists()
         out, err = capsys.readouterr()
         assert out == "" and "error:" in err
 
@@ -376,10 +378,12 @@ class TestCli:
         ["--s", "1.5", "--h", "0.4,0.2", "--window=-1,1", "--domain=-10,10"],
         ["--s", "0", "--h", "0.4,0.2", "--window=-1,1", "--domain=-10,10"],
     ])
-    def test_invalid_consistency_settings_exit_2(self, flags, capsys):
+    def test_invalid_consistency_settings_exit_2(self, flags, tmp_path, capsys):
+        out_path = tmp_path / "cons.csv"
         with pytest.raises(SystemExit) as exc:
-            cli_main(["consistency", *flags])
+            cli_main(["consistency", *flags, "--out", str(out_path)])
         assert exc.value.code == 2
+        assert not out_path.exists()
         out, err = capsys.readouterr()
         assert out == "" and "error: consistency:" in err
 
@@ -411,6 +415,22 @@ class TestCli:
         assert exc.value.code == 2
         assert not out_path.exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["study", "consistency"])
+    @pytest.mark.parametrize("out", ["", "missing/cons.csv"], ids=["directory", "missing-dir"])
+    def test_out_that_cannot_be_written_exits_2_before_any_cell(self, command, out,
+                                                                monkeypatch, tmp_path, capsys):
+        cells = []
+        for name in ("run_study", "run_consistency_study"):
+            monkeypatch.setattr(f"fracheat.cli.{name}",
+                                lambda *args, **kw: cells.append(args) or StudyResult())
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--s", "0.3", "--h", "0.4,0.2", "--out", str(tmp_path / out)])
+        assert exc.value.code == 2
+        assert cells == [] and list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert "error: --out:" in err
+        assert ("is a directory" if out == "" else "missing is not a directory") in err
 
     @pytest.mark.parametrize("flags,domain,window", [
         (["--paper-scale"], PAPER_SCALE["domain"], PAPER_SCALE["window"]),
@@ -474,9 +494,12 @@ class TestCli:
     @pytest.mark.parametrize("text, message", [
         (None, "No such file or directory"),
         ("s = 0.5\nnot a pair\n", "run.cfg:2: expected key = value, got 'not a pair'"),
-    ], ids=["missing", "malformed"])
+        ("config = other.cfg\ns = 0.5\nh = 0.4\n",
+         "run.cfg:1: a config file cannot name another one, got 'config = other.cfg'"),
+        ("s = 0.5\nconf = other.cfg\n",
+         "run.cfg:2: a config file cannot name another one, got 'conf = other.cfg'"),
+    ], ids=["missing", "malformed", "nested", "nested-abbreviated"])
     def test_unreadable_or_malformed_config_exits_2(self, text, message, tmp_path, capsys):
-        # both ended in a traceback with exit 1, the code of an aborted cell
         cfgfile, out_path = tmp_path / "run.cfg", tmp_path / "cons.csv"
         if text is not None:
             cfgfile.write_text(text)
@@ -505,29 +528,48 @@ class TestCli:
         ])
         assert rc == 1
 
-    def test_all_cells_failing_write_no_report(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, messages", [
+        (["--problem", "example1", "--s", "0.5", "--h", "1.0,0.5", "--dt", "0.05",
+          "--T", "0.1", "--domain=-20,20", "--window=-5,5"],
+         ["cell (s=0.5, h=1.0) aborted: ValueError", "cell (s=0.5, h=0.5) aborted: ValueError"]),
+        # z = t^alpha max(lambda) is about 4,149, past the Wright quadrature's limit
+        (["--problem", "example2", "--s", "0.9", "--h", "0.0125", "--alpha", "0.5",
+          "--stepper", "mild_reference", "--T", "0.2", "--domain=-1,1", "--window=-0.5,0.5"],
+         ["cell (s=0.9, h=0.0125) aborted: SeriesConvergenceError: "
+          "the Wright quadrature cannot resolve"]),
+    ], ids=["example1-s-half", "past-the-wright-limit"])
+    def test_all_cells_failing_write_no_report(self, flags, messages, tmp_path, capsys):
         out_path = tmp_path / "study.csv"
-        rc = cli_main([
-            "study", "--problem", "example1", "--s", "0.5",
-            "--h", "1.0,0.5", "--dt", "0.05", "--T", "0.1",
-            "--domain=-20,20", "--window=-5,5", "--out", str(out_path),
-        ])
-        assert rc == 1
+        assert cli_main(["study", *flags, "--out", str(out_path)]) == 1
         assert not out_path.exists()
         err = capsys.readouterr().err
-        assert "cell (s=0.5, h=1.0) aborted: ValueError" in err
-        assert "cell (s=0.5, h=0.5) aborted: ValueError" in err
+        assert all(message in err for message in messages)
 
-    def test_mild_reference_rows_carry_dt_zero(self, tmp_path, capsys):
+    def test_partly_failed_consistency_exits_1_and_writes_the_rest(self, tmp_path, capsys):
+        # the h = 0.4 mesh has no node in the window; the h = 0.2 and 0.1 meshes do
+        out_path = tmp_path / "part.csv"
+        rc = cli_main(["consistency", "--s", "0.5", "--h", "0.4,0.2,0.1",
+                       "--window=0.1,0.35", "--out", str(out_path)])
+        assert rc == 1
+        assert ("cell (s=0.5, h=0.4) aborted: ValueError: window [0.1, 0.35] contains "
+                "no mesh nodes") in capsys.readouterr().err
+        assert len(out_path.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("stepper, alpha, dt", [
+        ("mild_reference", "1", 0.0), ("mild_reference", "0.5", 0.0),
+        ("l1_caputo", "0.5", 0.05),
+    ])
+    def test_rows_carry_the_dt_the_stepper_used(self, stepper, alpha, dt, tmp_path, capsys):
+        # mild_reference has no time step, so its rows carry dt = 0
         out_path = tmp_path / "study.csv"
         rc = cli_main([
             "study", "--problem", "example2", "--s", "0.5", "--h", "0.2,0.1",
             "--dt", "0.05", "--T", "0.1", "--domain=-1,1", "--window=-0.5,0.5",
-            "--stepper", "mild_reference", "--out", str(out_path),
+            "--stepper", stepper, "--alpha", alpha, "--out", str(out_path),
         ])
         assert rc == 0
         rows = _read_report(out_path.read_text())
-        assert len(rows) == 2 and all(r["dt"] == 0.0 for r in rows)
+        assert len(rows) == 2 and all(r["dt"] == dt for r in rows)
 
 
 def test_demos_import_only_existing_names():
